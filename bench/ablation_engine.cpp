@@ -3,7 +3,7 @@
 // control-structure reduction, and ... the (in-)active clock
 // reduction", plus bit-state hashing with its hash-size sensitivity)
 // and of the zone-abstraction operators (global Extra_M, per-location
-// Extra_M, per-location Extra+_LU).
+// Extra+_LU).
 //
 // Fixed workloads: the fully guided plant at 10 batches (depth-first)
 // and Fischer's protocol at N = 7..9 (exhaustive proof of mutual
@@ -35,10 +35,10 @@ void runRow(const char* name, int batches, engine::Options opts) {
   const engine::Result res = checker.run(p->goal);
   if (res.reachable) {
     std::printf("%-34s %10zu %10zu %10.3f %9.1f\n", name,
-                res.stats.statesExplored, res.stats.statesStored,
+                res.stats.statesExplored, res.stats.storedZones,
                 res.stats.seconds, res.stats.peakMegabytes());
     g_report.add(name, res.stats.seconds * 1000.0, res.stats.peakBytes,
-                 res.stats.statesStored);
+                 res.stats.storedZones);
   } else {
     std::printf("%-34s %10s %10s %10s %9s   (cutoff=%d)\n", name, "-", "-",
                 "-", "-", static_cast<int>(res.stats.cutoff));
@@ -76,17 +76,17 @@ void storeRow(const char* name, int batches, bool intern, bool compact,
   const size_t bytes = res.stats.storeBytes + res.stats.internBytes;
   if (baselineBytes == 0) {
     std::printf("%-34s %10zu %10zu %10.1f %9s\n", name,
-                res.stats.statesStored, res.stats.zonesMerged,
+                res.stats.storedZones, res.stats.zonesMerged,
                 static_cast<double>(bytes) / (1024.0 * 1024.0), "base");
   } else {
     std::printf("%-34s %10zu %10zu %10.1f %8.1f%%\n", name,
-                res.stats.statesStored, res.stats.zonesMerged,
+                res.stats.storedZones, res.stats.zonesMerged,
                 static_cast<double>(bytes) / (1024.0 * 1024.0),
                 100.0 * static_cast<double>(bytes) /
                     static_cast<double>(baselineBytes));
   }
   g_report.add(std::string("store-") + name, res.stats.seconds * 1000.0,
-               bytes, res.stats.statesStored);
+               bytes, res.stats.storedZones);
   std::fflush(stdout);
 }
 
@@ -317,11 +317,6 @@ int main(int argc, char** argv) {
     o.extrapolation = engine::Extrapolation::kGlobalM;
     runRow("global Extra_M abstraction", n, o);
   }
-  {
-    engine::Options o = base;
-    o.extrapolation = engine::Extrapolation::kLocationM;
-    runRow("per-location Extra_M", n, o);
-  }
 
   std::printf("\nZone-abstraction operators on Fischer (D=2, K=3, "
               "exhaustive mutex proof, BFS):\n\n");
@@ -336,8 +331,6 @@ int main(int argc, char** argv) {
     const size_t gs = g.exhausted ? g.stats.storedZones : 0;
     fischerRow("global Extra_M", fn, engine::Extrapolation::kGlobalM, true,
                fbudget, gs);
-    fischerRow("per-location Extra_M", fn, engine::Extrapolation::kLocationM,
-               true, fbudget, gs);
     fischerRow("per-location Extra+_LU", fn,
                engine::Extrapolation::kLocationLUPlus, true, fbudget, gs);
     fischerRow("Extra+_LU, no active clocks", fn,
@@ -354,11 +347,11 @@ int main(int argc, char** argv) {
         b.reachable ? b.stats.storeBytes + b.stats.internBytes : 0;
     if (b.reachable) {
       std::printf("%-34s %10zu %10zu %10.1f %9s\n",
-                  "no interning, full zones", b.stats.statesStored,
+                  "no interning, full zones", b.stats.storedZones,
                   b.stats.zonesMerged,
                   static_cast<double>(bb) / (1024.0 * 1024.0), "base");
       g_report.add("store-no-interning-full", b.stats.seconds * 1000.0, bb,
-                   b.stats.statesStored);
+                   b.stats.storedZones);
     }
     storeRow("interned, full zones", n, true, false, false, budget, bb);
     storeRow("interned + merging", n, true, false, true, budget, bb);

@@ -152,7 +152,7 @@ inline CellResult runCell(int batches, plant::GuideLevel guides,
   out.seconds = res.stats.seconds;
   out.megabytes = res.stats.peakMegabytes();
   out.peakBytes = res.stats.peakBytes;
-  out.storedStates = res.stats.statesStored;
+  out.storedStates = res.stats.storedZones;
   out.cutoff = res.stats.cutoff;
   return out;
 }

@@ -48,7 +48,7 @@ int main() {
   std::printf("  ...\n");
   benchutil::Report report("fig6_program");
   report.add("codegen-qualityAB", res.stats.seconds * 1000.0,
-             res.stats.peakBytes, res.stats.statesStored);
+             res.stats.peakBytes, res.stats.storedZones);
   report.write();
   return 0;
 }

@@ -47,7 +47,7 @@ int main() {
               "ackLost", "dupes", "ticks", "ok");
   benchutil::Report report("lossy_channel");
   report.add("search-3batch", res.stats.seconds * 1000.0,
-             res.stats.peakBytes, res.stats.statesStored);
+             res.stats.peakBytes, res.stats.storedZones);
   for (const double loss : {0.0, 0.01, 0.05, 0.10, 0.20, 0.35}) {
     rcx::SimOptions sim;
     sim.messageLossProb = loss;

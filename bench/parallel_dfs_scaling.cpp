@@ -19,13 +19,13 @@
 //    (degrading to a bounded-overhead check below 4 cores, where
 //    wall-clock speedup is physically impossible).
 //  * "verdict": time-to-schedule on the real goal (45 batches in full
-//    mode) for work-stealing DFS at 1/2/4 threads and the 4-seed
-//    portfolio.  Gated at 1.5x only on >= 4-core hosts — goal-directed
-//    speedup depends on actual parallel hardware; below that the rows
-//    are reported but the gate is skipped.
+//    mode) for work-stealing DFS at 1/2/4 threads.  Gated at 1.5x only
+//    on >= 4-core hosts — goal-directed speedup depends on actual
+//    parallel hardware; below that the rows are reported but the gate
+//    is skipped.
 //
 // stdout: one JSON object per line,
-//   {"workload": ..., "mode": "steal"|"portfolio", "threads": N,
+//   {"workload": ..., "mode": "steal", "threads": N,
 //    "seconds": S, "statesExplored": E, "steals": K, "reachable": R}
 // (machine-readable for the bench trajectory); the human-readable
 // table goes to stderr.  Exit code != 0 on verdict mismatch or gate
@@ -50,8 +50,7 @@ struct Run {
   size_t steals;
 };
 
-Run runWorkload(int batches, size_t threads, bool portfolio,
-                size_t maxStates) {
+Run runWorkload(int batches, size_t threads, size_t maxStates) {
   plant::PlantConfig cfg;
   cfg.order = plant::standardOrder(batches);
   cfg.guides = plant::GuideLevel::kAll;
@@ -71,7 +70,6 @@ Run runWorkload(int batches, size_t threads, bool portfolio,
   o.order = engine::SearchOrder::kRandomDfs;
   o.seed = 1;
   o.threads = threads;
-  o.portfolio = portfolio;
   if (maxStates > 0) {
     o.maxStates = maxStates;
     o.bitstateHashing = true;
@@ -131,7 +129,7 @@ int main(int argc, char** argv) {
   double speedup4 = 0.0;
   bool baseReachable = false;
   for (const size_t t : {size_t{1}, size_t{2}, size_t{4}}) {
-    const Run r = runWorkload(exBatches, t, false, maxStates);
+    const Run r = runWorkload(exBatches, t, maxStates);
     if (t == 1) {
       base = r.seconds;
       baseReachable = r.reachable;
@@ -172,7 +170,7 @@ int main(int argc, char** argv) {
   double vBase = 0.0;
   double vSpeedup4 = 0.0;
   for (const size_t t : {size_t{1}, size_t{2}, size_t{4}}) {
-    const Run r = runWorkload(vBatches, t, false, 0);
+    const Run r = runWorkload(vBatches, t, 0);
     if (!r.reachable) {
       std::fprintf(stderr, "schedule not found at %zu threads\n", t);
       rc = 1;
@@ -180,14 +178,6 @@ int main(int argc, char** argv) {
     if (t == 1) vBase = r.seconds;
     if (t == 4 && r.seconds > 0.0) vSpeedup4 = vBase / r.seconds;
     emit(vName, "steal", r);
-  }
-  {
-    const Run r = runWorkload(vBatches, 4, true, 0);
-    if (!r.reachable) {
-      std::fprintf(stderr, "portfolio found no schedule\n");
-      rc = 1;
-    }
-    emit(vName, "portfolio", r);
   }
   // The 1.5x time-to-verdict gate only makes sense with real parallel
   // hardware underneath; skip it (reporting only) below 4 cores.

@@ -27,7 +27,7 @@ int main() {
     const engine::Result res = checker.run(p->goal);
     std::printf("%8d %10zu %8u %10zu %10zu %10.2f %9.0f\n", n,
                 p->numAutomata(), p->numClocks(), res.stats.statesExplored,
-                res.stats.statesStored, res.stats.seconds,
+                res.stats.storedZones, res.stats.seconds,
                 res.stats.peakMegabytes());
     std::fflush(stdout);
     if (!res.reachable) {
@@ -36,7 +36,7 @@ int main() {
     }
     report.add("allguides-" + std::to_string(n) + "batch",
                res.stats.seconds * 1000.0, res.stats.peakBytes,
-               res.stats.statesStored);
+               res.stats.storedZones);
   }
   report.write();
   return 0;

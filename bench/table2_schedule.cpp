@@ -46,7 +46,7 @@ int main() {
   std::printf("  ...\n");
   benchutil::Report report("table2_schedule");
   report.add("schedule-2batch", res.stats.seconds * 1000.0,
-             res.stats.peakBytes, res.stats.statesStored);
+             res.stats.peakBytes, res.stats.storedZones);
   report.write();
   return 0;
 }

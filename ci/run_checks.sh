@@ -21,7 +21,7 @@
 #                 print->parse->print fixpoint, and lint soundness.
 #   3. tsan     — fresh -DSANITIZE=thread build, ctest -L parallel:
 #                 every multi-threaded explorer (parallel BFS,
-#                 work-stealing DFS, portfolio) under ThreadSanitizer.
+#                 work-stealing DFS) under ThreadSanitizer.
 #   4. asan     — fresh -DSANITIZE=address build (ASan + UBSan),
 #                 ctest -L fuzz plus the static LU-bound analysis and
 #                 differential suites by name: the randomized zone
@@ -57,6 +57,11 @@
 #                 snapshot / state-lifting / resume-round-trip suites
 #                 plus the nonzero-clock-init engine suite under the
 #                 ASan build.
+#   8. perfbench— builds the pipeline benchmark (perfbench/, its own
+#                 build tree) and runs every workload for one second
+#                 with its correctness checks: the benchmark uses public
+#                 engine, synthesis and replan names that no other
+#                 stage compiles.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -127,6 +132,11 @@ for field in git_rev hostname timestamp; do
     exit 1
   fi
 done
+
+echo "== stage 8: pipeline benchmark build + one-second run =="
+# Non-zero exit when perfbench fails to build or any workload fails a
+# correctness check.
+python3 perfbench/run.py --workload all --seconds 1 --trace 0
 
 if [[ "$fast" == 1 ]]; then
   echo "== stages 3-7b: sanitizers skipped (--fast) =="

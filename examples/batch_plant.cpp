@@ -3,8 +3,8 @@
 // schedule statistics and (optionally) the schedule itself.
 //
 // Usage: batch_plant [batches] [guides: all|some|none] [search: dfs|bfs|rdfs]
-//                    [seconds] [--trace] [--threads N] [--portfolio]
-//                    [--extrapolation none|global|location|lu]
+//                    [seconds] [--trace] [--threads N]
+//                    [--extrapolation none|global|lu]
 //                    [--no-lint] [--Werror]
 #include <cstdlib>
 #include <cstring>
@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
     if (frontend.consume(argc, argv, i)) continue;
     if (std::string(argv[i]) == "--trace") showTrace = true;
     if (std::string(argv[i]) == "--reverse") opts.dfsReverse = true;
-    if (std::string(argv[i]) == "--portfolio") opts.portfolio = true;
     if (std::string(argv[i]) == "--threads" && i + 1 < argc) {
       opts.threads = static_cast<size_t>(std::atoi(argv[++i]));
     }
@@ -73,13 +72,12 @@ int main(int argc, char** argv) {
   std::cout << "reachable=" << res.reachable
             << " explored=" << res.stats.statesExplored
             << " generated=" << res.stats.statesGenerated
-            << " stored=" << res.stats.statesStored << " peakMB="
+            << " stored=" << res.stats.storedZones << " peakMB="
             << res.stats.peakMegabytes() << " sec=" << res.stats.seconds
             << " cutoff=" << static_cast<int>(res.stats.cutoff) << "\n";
   if (opts.threads > 1) {
     std::cout << "threads=" << opts.threads << " steals="
               << res.stats.chunkSteals + res.stats.frameSteals
-              << " cancelled=" << res.stats.cancelledWorkers
               << " peakStack=" << res.stats.peakStackDepth << "\n";
   }
   if (!res.reachable) return 1;

@@ -3,13 +3,12 @@
 // timed witness traces — the UPPAAL-shaped entry point of the library.
 //
 // Usage: check_model <model-file> [bfs|dfs|rdfs] [--trace] [--threads N]
-//                    [--portfolio] [--extrapolation none|global|location|lu]
+//                    [--extrapolation none|global|lu]
 //                    [--stats-json] [--no-intern] [--merge-zones]
 //                    [--opt-level N] [--no-lint] [--Werror]
 //
 // --threads N parallelizes whichever order is selected (level-
-// synchronous BFS, work-stealing DFS); --portfolio races N independent
-// seeded DFS workers instead. --extrapolation selects the
+// synchronous BFS, work-stealing DFS). --extrapolation selects the
 // zone-abstraction operator (default: per-location Extra+_LU).
 // --no-intern / --merge-zones toggle the storage engine (discrete-state
 // hash-consing off, exact convex-union zone merging on). --opt-level
@@ -43,7 +42,6 @@ void printStatsJson(std::ostream& os, size_t query, bool reachable,
      << (reachable ? "true" : "false")
      << ", \"statesExplored\": " << s.statesExplored
      << ", \"statesGenerated\": " << s.statesGenerated
-     << ", \"statesStored\": " << s.statesStored
      << ", \"storedZones\": " << s.storedZones
      << ", \"bytesStored\": " << s.bytesStored
      << ", \"peakBytes\": " << s.peakBytes
@@ -65,7 +63,6 @@ void printStatsJson(std::ostream& os, size_t query, bool reachable,
      << ", \"lockContention\": " << s.lockContention
      << ", \"chunkSteals\": " << s.chunkSteals
      << ", \"frameSteals\": " << s.frameSteals
-     << ", \"cancelledWorkers\": " << s.cancelledWorkers
      << ", \"optLevel\": " << opt
      << ", \"foldedExprs\": " << s.foldedExprs
      << ", \"removedLocations\": " << s.removedLocations
@@ -107,8 +104,8 @@ std::string passSummary(const engine::Stats& s) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::cerr << "usage: check_model <model-file> [bfs|dfs|rdfs] [--trace]"
-                 " [--threads N] [--portfolio]"
-                 " [--extrapolation none|global|location|lu]"
+                 " [--threads N]"
+                 " [--extrapolation none|global|lu]"
                  " [--stats-json] [--no-intern] [--merge-zones]"
                  " [--opt-level N] [--no-lint] [--Werror]\n";
     return 2;
@@ -136,7 +133,6 @@ int main(int argc, char** argv) {
     if (a == "--stats-json") statsJson = true;
     if (a == "--no-intern") opts.internStates = false;
     if (a == "--merge-zones") opts.mergeZones = true;
-    if (a == "--portfolio") opts.portfolio = true;
     if (a == "--threads" && i + 1 < argc) {
       opts.threads = static_cast<size_t>(std::atoi(argv[++i]));
     }

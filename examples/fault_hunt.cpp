@@ -10,7 +10,7 @@
 // always run on a perfect channel so the modelling errors stay isolated
 // from channel noise.
 //
-// Usage: fault_hunt [--extrapolation none|global|location|lu]
+// Usage: fault_hunt [--extrapolation none|global|lu]
 //                   [fault/trial flags — see sim_cli.hpp]
 #include <cstring>
 #include <iostream>

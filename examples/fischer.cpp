@@ -12,12 +12,12 @@
 // anyone re-reads).  We verify both directions.
 //
 // Usage: fischer [processes] [D] [K] [--threads N] [--dfs|--rdfs]
-//                [--portfolio] [--extrapolation none|global|location|lu]
+//                [--extrapolation none|global|lu]
 //                [--no-lint] [--Werror]
 //
 // The default order is BFS; --dfs / --rdfs switch to the depth-first
 // orders, which --threads N parallelizes with the work-stealing
-// explorer (or, with --portfolio, a race of seeded DFS workers).
+// explorer.
 // --extrapolation selects the zone-abstraction operator (default: the
 // per-location Extra+_LU; Fischer is where it shines — try
 // `fischer 7 --extrapolation global` versus the default).
@@ -70,7 +70,6 @@ struct Fischer {
 int main(int argc, char** argv) {
   size_t threads = 1;
   engine::SearchOrder order = engine::SearchOrder::kBfs;
-  bool portfolio = false;
   engine::Extrapolation extrapolation = engine::Extrapolation::kLocationLUPlus;
   std::vector<int> positional;
   examples::FrontendFlags frontend;
@@ -82,8 +81,6 @@ int main(int argc, char** argv) {
       order = engine::SearchOrder::kDfs;
     } else if (std::strcmp(argv[i], "--rdfs") == 0) {
       order = engine::SearchOrder::kRandomDfs;
-    } else if (std::strcmp(argv[i], "--portfolio") == 0) {
-      portfolio = true;
     } else if (std::strcmp(argv[i], "--extrapolation") == 0 && i + 1 < argc) {
       if (!engine::parseExtrapolation(argv[++i], &extrapolation)) {
         std::cerr << "unknown extrapolation mode: " << argv[i] << "\n";
@@ -101,7 +98,7 @@ int main(int argc, char** argv) {
             << " K=" << k << ", " << threads << " thread(s), "
             << (order == engine::SearchOrder::kBfs ? "bfs"
                 : order == engine::SearchOrder::kDfs ? "dfs" : "rdfs")
-            << (portfolio ? " portfolio" : "") << ", "
+            << ", "
             << engine::extrapolationName(extrapolation)
             << " extrapolation\n";
 
@@ -119,7 +116,6 @@ int main(int argc, char** argv) {
       opts.maxSeconds = 60.0;
       opts.threads = threads;
       opts.order = order;
-      opts.portfolio = portfolio;
       opts.extrapolation = extrapolation;
       opts.optLevel = frontend.optLevel;
       engine::Reachability checker(model.sys, opts);

@@ -15,10 +15,10 @@
 //                         improving schedules stream as they are found.
 //
 // Usage: optimize_makespan [batches] [--optimizer binary|bestfirst]
-//                          [--threads N] [--portfolio] [--stats-json]
+//                          [--threads N] [--stats-json]
 //                          [--soft-guide SUBSTR=WEIGHT ...]
 //                          [--max-seconds S]
-//                          [--extrapolation none|global|location|lu]
+//                          [--extrapolation none|global|lu]
 //
 // --soft-guide adds WEIGHT to the cost of every transition whose label
 // contains SUBSTR (best-first only) — the DCSynth-style soft-requirement
@@ -96,8 +96,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       oo.engine.threads = static_cast<size_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--portfolio") == 0) {
-      oo.engine.portfolio = true;
     } else if (std::strcmp(argv[i], "--max-seconds") == 0 && i + 1 < argc) {
       oo.engine.maxSeconds = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--stats-json") == 0) {

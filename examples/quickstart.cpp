@@ -6,7 +6,7 @@
 // at least 3 time units before signalling (but no later than 5), and a
 // listener that records the signal.
 //
-// Usage: quickstart [--extrapolation none|global|location|lu]
+// Usage: quickstart [--extrapolation none|global|lu]
 //                    [--no-lint] [--Werror]
 #include <cstring>
 #include <iostream>

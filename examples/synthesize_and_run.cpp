@@ -13,7 +13,7 @@
 // --stats-json emits one JSON object per trial.
 //
 // Usage: synthesize_and_run [batches] [lossProb]
-//                           [--extrapolation none|global|location|lu]
+//                           [--extrapolation none|global|lu]
 //                           [fault/trial flags — see sim_cli.hpp]
 #include <cstdlib>
 #include <cstring>

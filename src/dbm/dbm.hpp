@@ -189,8 +189,8 @@ class Dbm {
   /// over-approximates the union a ∪ b.
   [[nodiscard]] static Dbm convexHullOf(const Dbm& a, const Dbm& b);
 
-  /// Exact convex-union test (the federation reduce-style check the
-  /// passed store's zone merging relies on): if hull(a, b) == a ∪ b as
+  /// Exact convex-union test (the check the passed store's zone
+  /// merging relies on): if hull(a, b) == a ∪ b as
   /// sets, write the hull to *out and return true; otherwise leave *out
   /// untouched and return false.
   ///

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <queue>
 #include <unordered_map>
 
 #include "dbm/priced.hpp"
-#include "dbm/simd.hpp"
 #include "engine/interner.hpp"
-#include "engine/opt_bridge.hpp"
+#include "engine/search_common.hpp"
 #include "engine/successors.hpp"
 
 namespace engine {
@@ -72,14 +70,11 @@ void BestFirst::setHeuristicTargets(
 }
 
 BestFirstResult BestFirst::run(const Goal& goal) {
-  using Clock = std::chrono::steady_clock;
-  const auto t0 = Clock::now();
-
   // Pre-exploration optimization: delegate to an inner search over the
-  // optimized system (see Reachability::run for the scheme). Heuristic
-  // targets are pinned so the remaining-time analysis keeps its
-  // anchors; composition is vetoed under soft guides, whose penalties
-  // match per-edge labels that fusion would concatenate.
+  // optimized system. Heuristic targets are pinned so the
+  // remaining-time analysis keeps its anchors; composition is vetoed
+  // under soft guides, whose penalties match per-edge labels that
+  // fusion would concatenate.
   double optSeconds = 0.0;
   if (opts_.optLevel > 0) {
     std::vector<std::pair<ta::ProcId, ta::LocId>> targetPins;
@@ -93,43 +88,35 @@ BestFirstResult BestFirst::run(const Goal& goal) {
     ta::OptimizedModel model = opt_bridge::optimizeForGoal(
         sys_, goal, opts_.optLevel,
         /*allowCompose=*/opts_.softGuides.empty(), targetPins);
-    if (model.changed()) {
-      Options inner = opts_;
-      inner.optLevel = 0;
-      BestFirst engine(model.system(), inner, model.mapClock(costClock_));
-      if (targetsSet_) {
-        std::vector<std::vector<ta::LocId>> mapped(
-            model.system().numAutomata());
-        for (size_t p = 0; p < targets_.size(); ++p) {
-          for (const ta::LocId l : targets_[p]) {
-            mapped[static_cast<size_t>(
-                       model.mapProc(static_cast<ta::ProcId>(p)))]
-                .push_back(model.mapLoc(static_cast<ta::ProcId>(p), l));
+    auto res = search::runOptimized(
+        sys_, goal, opts_, model, &optSeconds,
+        [&](const Options& inner, const Goal& g) {
+          BestFirst engine(model.system(), inner, model.mapClock(costClock_));
+          if (targetsSet_) {
+            std::vector<std::vector<ta::LocId>> mapped(
+                model.system().numAutomata());
+            for (size_t p = 0; p < targets_.size(); ++p) {
+              for (const ta::LocId l : targets_[p]) {
+                mapped[static_cast<size_t>(
+                           model.mapProc(static_cast<ta::ProcId>(p)))]
+                    .push_back(model.mapLoc(static_cast<ta::ProcId>(p), l));
+              }
+            }
+            engine.setHeuristicTargets(std::move(mapped));
           }
-        }
-        engine.setHeuristicTargets(std::move(mapped));
-      }
-      if (incumbent0_ >= 0) engine.setInitialIncumbent(incumbent0_);
-      if (incumbentCb_) {
-        engine.onIncumbent([this, &model](int64_t cost,
-                                          const SymbolicTrace& trace) {
-          incumbentCb_(cost, opt_bridge::backMapTrace(sys_, model, trace));
+          if (incumbent0_ >= 0) engine.setInitialIncumbent(incumbent0_);
+          if (incumbentCb_) {
+            engine.onIncumbent([this, &model](int64_t cost,
+                                              const SymbolicTrace& trace) {
+              incumbentCb_(cost, opt_bridge::backMapTrace(sys_, model, trace));
+            });
+          }
+          return engine.run(g);
         });
-      }
-      BestFirstResult res =
-          engine.run(opt_bridge::mapGoal(sys_, goal, model));
-      opt_bridge::mergePassStats(res.stats, model.stats());
-      if (res.reachable) {
-        res.trace = opt_bridge::backMapTrace(sys_, model, res.trace);
-      }
-      return res;
-    }
-    optSeconds = model.stats().seconds;
+    if (res) return *std::move(res);
   }
 
-  const size_t simdOps0 = dbm::simd::vectorOps();
-  const size_t scalarOps0 = dbm::simd::scalarOps();
-
+  const search::Meter meter(opts_);
   BestFirstResult res;
   res.stats.optSeconds = optSeconds;
 
@@ -198,6 +185,12 @@ BestFirstResult BestFirst::run(const Goal& goal) {
 
   const auto heuristic = [&](const DiscreteState& d) -> int64_t {
     return rt.lowerBound(d.locs);
+  };
+  const auto traceTo = [&](uint32_t leaf) {
+    return search::traceFromChain(interner, leaf, Node::kNoParent,
+                                  [&](uint32_t n) -> const Node& {
+                                    return nodes[n];
+                                  });
   };
 
   // Constrain a candidate zone to costs that can still beat the
@@ -279,26 +272,11 @@ BestFirstResult BestFirst::run(const Goal& goal) {
   // Optimality is untouched: the proof only needs the heap's f
   // watermark, and every dive node still holds a (now stale) heap
   // entry, so the watermark never skips an unexpanded node.
-  bool cut = false;
+  Cutoff cut = Cutoff::kNone;
   uint32_t dive = Node::kNoParent;
   while (true) {
-    if (opts_.maxSeconds > 0.0 &&
-        std::chrono::duration<double>(Clock::now() - t0).count() >
-            opts_.maxSeconds) {
-      res.stats.cutoff = Cutoff::kTime;
-      cut = true;
-      break;
-    }
-    if (opts_.maxStates > 0 && res.stats.statesExplored >= opts_.maxStates) {
-      res.stats.cutoff = Cutoff::kStates;
-      cut = true;
-      break;
-    }
-    if (opts_.maxMemoryBytes > 0 && zoneBytes > opts_.maxMemoryBytes) {
-      res.stats.cutoff = Cutoff::kMemory;
-      cut = true;
-      break;
-    }
+    cut = meter.check(zoneBytes, res.stats.statesExplored);
+    if (cut != Cutoff::kNone) break;
 
     uint32_t cur = Node::kNoParent;
     if (dive != Node::kNoParent) {
@@ -347,17 +325,7 @@ BestFirstResult BestFirst::run(const Goal& goal) {
           incumbent = cost;
           goalNode = cur;
           res.stats.incumbentCosts.push_back(cost);
-          if (incumbentCb_) {
-            SymbolicTrace t;
-            for (uint32_t n = cur; n != Node::kNoParent;
-                 n = nodes[n].parent) {
-              t.steps.push_back(TraceStep{
-                  nodes[n].via,
-                  SymbolicState{interner.get(nodes[n].did), nodes[n].zone}});
-            }
-            std::reverse(t.steps.begin(), t.steps.end());
-            incumbentCb_(cost, t);
-          }
+          if (incumbentCb_) incumbentCb_(cost, traceTo(cur));
         }
       }
       // Cost never decreases along a path (time only grows and
@@ -391,29 +359,15 @@ BestFirstResult BestFirst::run(const Goal& goal) {
   if (goalNode != Node::kNoParent) {
     res.reachable = true;
     res.cost = incumbent;
-    for (uint32_t n = goalNode; n != Node::kNoParent; n = nodes[n].parent) {
-      res.trace.steps.push_back(TraceStep{
-          nodes[n].via,
-          SymbolicState{interner.get(nodes[n].did), nodes[n].zone}});
-    }
-    std::reverse(res.trace.steps.begin(), res.trace.steps.end());
+    res.trace = traceTo(goalNode);
   }
-  res.optimal = !cut;
+  res.optimal = cut == Cutoff::kNone;
 
-  res.stats.statesStored =
+  meter.finish(res.stats, cut, gen, interner);
+  res.stats.storedZones =
       static_cast<size_t>(std::count(alive.begin(), alive.end(), 1));
-  res.stats.storedZones = res.stats.statesStored;
   res.stats.bytesStored = zoneBytes;
   res.stats.peakBytes = std::max(peakBytes, zoneBytes);
-  res.stats.statesInterned = interner.size();
-  res.stats.internHits = interner.hits();
-  res.stats.internBytes = interner.bytes();
-  res.stats.extrapolationCoarsenings = gen.extrapolationCoarsenings();
-  res.stats.inactiveClocksFreed = gen.inactiveClocksFreed();
-  res.stats.simdKernelOps = dbm::simd::vectorOps() - simdOps0;
-  res.stats.scalarKernelOps = dbm::simd::scalarOps() - scalarOps0;
-  res.stats.seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count();
   return res;
 }
 

@@ -10,7 +10,7 @@
 // `get`/`hashOf` are lock-free. Lock-free reads are sound because an id
 // only reaches another thread through a synchronizing channel — the
 // parallel BFS level barrier (thread join), a work-stealing stack
-// mutex, or the portfolio goal mutex — each of which orders the
+// mutex, or the work-stealing goal mutex — each of which orders the
 // interning writes before the read; the chunk-pointer acquire load
 // additionally orders the chunk allocation itself for readers (stats
 // scans) that hold no such channel.

@@ -2,36 +2,9 @@
 
 #include <cstdint>
 
+#include "engine/successors.hpp"
+
 namespace engine::opt_bridge {
-
-namespace {
-
-bool conjoinInvariants(const ta::System& sys,
-                       const std::vector<ta::LocId>& locs, dbm::Dbm& z) {
-  for (size_t p = 0; p < locs.size(); ++p) {
-    const ta::Location& l =
-        sys.automaton(static_cast<ta::ProcId>(p)).location(locs[p]);
-    for (const ta::ClockConstraint& cc : l.invariant) {
-      if (!z.constrain(static_cast<uint32_t>(cc.i),
-                       static_cast<uint32_t>(cc.j), cc.bound)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool locsForbidDelay(const ta::System& sys,
-                     const std::vector<ta::LocId>& locs) {
-  for (size_t p = 0; p < locs.size(); ++p) {
-    const ta::Location& l =
-        sys.automaton(static_cast<ta::ProcId>(p)).location(locs[p]);
-    if (l.urgent || l.committed) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 ta::OptimizedModel optimizeForGoal(
     const ta::System& sys, const Goal& goal, int optLevel, bool allowCompose,
@@ -109,7 +82,7 @@ SymbolicTrace backMapTrace(const ta::System& orig,
     // pass: delay (unless forbidden) under the previous invariants,
     // the fired guards, then resets and the target invariants.
     dbm::Dbm z = prev;
-    if (!locsForbidDelay(orig, cur.locs)) {
+    if (!delayForbidden(orig, cur.locs)) {
       z.up();
       (void)conjoinInvariants(orig, cur.locs, z);
     }

@@ -30,11 +30,9 @@ enum class SearchOrder : uint8_t {
 };
 
 /// Which finite abstraction normalize() applies to successor zones.
-/// The operators form a lattice of coarseness
-///   kGlobalM  ⊑  kLocationM  ⊑  kLocationLUPlus
-/// (each later operator abstracts at least as much as the earlier
-/// ones), and all three preserve location reachability for the
-/// diagonal-free models we build — see DESIGN.md "Zone abstraction".
+/// kLocationLUPlus abstracts at least as much as kGlobalM, and both
+/// preserve location reachability for the diagonal-free models we
+/// build — see DESIGN.md "Zone abstraction".
 enum class Extrapolation : uint8_t {
   /// No extrapolation at all. Ablation only: the zone graph need not
   /// be finite and the search can diverge.
@@ -42,21 +40,17 @@ enum class Extrapolation : uint8_t {
   /// Classic Extra_M with one global per-clock maximum constant
   /// (`ta::System::maxBounds()`).
   kGlobalM,
-  /// Extra_M with location-dependent maxima M(l, x) =
-  /// max(L(l, x), U(l, x)) from the static clock-bound analysis.
-  kLocationM,
-  /// Extra+_LU with location-dependent lower/upper bounds — the
-  /// coarsest (fewest stored zones) of the three.
+  /// Extra+_LU with location-dependent lower/upper bounds from the
+  /// static clock-bound analysis; stores fewer zones than kGlobalM.
   kLocationLUPlus,
 };
 
-/// Parse a --extrapolation flag value ("none", "global", "location",
-/// "lu"). Returns false on an unknown spelling.
+/// Parse a --extrapolation flag value ("none", "global", "lu").
+/// Returns false on an unknown spelling.
 [[nodiscard]] inline bool parseExtrapolation(std::string_view s,
                                              Extrapolation* out) {
   if (s == "none") *out = Extrapolation::kNone;
   else if (s == "global") *out = Extrapolation::kGlobalM;
-  else if (s == "location") *out = Extrapolation::kLocationM;
   else if (s == "lu") *out = Extrapolation::kLocationLUPlus;
   else return false;
   return true;
@@ -66,7 +60,6 @@ enum class Extrapolation : uint8_t {
   switch (e) {
     case Extrapolation::kNone: return "none";
     case Extrapolation::kGlobalM: return "global";
-    case Extrapolation::kLocationM: return "location";
     case Extrapolation::kLocationLUPlus: return "lu";
   }
   return "?";
@@ -124,19 +117,9 @@ struct Options {
   /// parallel explorer: level-synchronous BFS (chunked frontier queue +
   /// sharded passed store) for kBfs, work-stealing DFS (per-worker
   /// task stacks, oldest-frame stealing, shared sharded passed store)
-  /// for the depth-first orders — or, with `portfolio`, a race of
-  /// independent seeded DFS workers. Verdicts match the sequential
-  /// engine; see DESIGN.md "Parallel explorer".
+  /// for the depth-first orders. Verdicts match the sequential engine;
+  /// see DESIGN.md "Parallel explorer".
   size_t threads = 1;
-
-  /// Portfolio mode for the depth-first orders with threads > 1:
-  /// instead of cooperating on one search, each worker runs an
-  /// independent sequential DFS (worker 0 with the configured order
-  /// and seed, workers 1.. with kRandomDfs and seeds seed+1, seed+2,
-  /// ...) and the first conclusive verdict — a validated witness or an
-  /// exhausted space — wins and cancels the rest. Resource cut-offs
-  /// apply per worker. Ignored by kBfs and by threads <= 1.
-  bool portfolio = false;
 
   /// log2 of the number of passed-store shards in parallel mode.
   /// 2^6 = 64 shards keeps try_lock contention negligible up to a
@@ -166,7 +149,10 @@ struct Options {
   int optLevel = 2;
 
   // -- Cut-offs: a run exceeding any of these aborts with the matching
-  //    CutoffReason, reproducing Table 1's "-" entries. 0 = unlimited.
+  //    Cutoff, reproducing Table 1's "-" entries. 0 = unlimited. Every
+  //    engine stops once accounted bytes > maxMemoryBytes, statesExplored
+  //    > maxStates or wall time > maxSeconds; a sequential engine cut
+  //    off by maxStates has expanded exactly maxStates + 1 states.
   size_t maxMemoryBytes = 0;
   double maxSeconds = 0.0;
   size_t maxStates = 0;
@@ -177,10 +163,6 @@ enum class Cutoff : uint8_t {
   kMemory,
   kTime,
   kStates,
-  /// A portfolio worker stopped because another worker already reached
-  /// a conclusive verdict. Never reported by Reachability::run itself —
-  /// the winning worker's result is returned instead.
-  kCancelled,
 };
 
 }  // namespace engine

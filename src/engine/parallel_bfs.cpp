@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <deque>
 #include <thread>
 #include <vector>
@@ -27,12 +26,11 @@
 #include "engine/interner.hpp"
 #include "engine/passed_store.hpp"
 #include "engine/reachability.hpp"
+#include "engine/search_common.hpp"
 
 namespace engine {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 /// Interned discrete id + zone; the discrete vectors live once in the
 /// run's StateInterner (ids published to other workers through the
@@ -77,10 +75,7 @@ Result Reachability::runParallelBfs(const Goal& goal) {
   const size_t nThreads = std::max<size_t>(1, opts_.threads);
   Result res;
   res.stats.perThreadExplored.assign(nThreads, 0);
-  const Clock::time_point start = Clock::now();
-  const auto elapsed = [&] {
-    return std::chrono::duration<double>(Clock::now() - start).count();
-  };
+  const search::Meter meter(opts_);
 
   StateInterner& interner = *interner_;
   ShardedPassedStore passed(opts_.shardBits, opts_, interner);
@@ -89,41 +84,21 @@ Result Reachability::runParallelBfs(const Goal& goal) {
   size_t arenaBytes = 0;
 
   const auto buildTrace = [&](int64_t idx) {
-    std::vector<TraceStep> rev;
-    for (int64_t k = idx; k >= 0; k = arena[static_cast<size_t>(k)].parent) {
-      const Node& n = arena[static_cast<size_t>(k)];
-      rev.push_back(TraceStep{n.via, SymbolicState{interner.get(n.did),
-                                                   n.zone}});
-    }
-    std::reverse(rev.begin(), rev.end());
-    res.trace.steps = std::move(rev);
+    res.trace = search::traceFromChain(
+        interner, idx, -1, [&](int64_t k) -> const Node& {
+          return arena[static_cast<size_t>(k)];
+        });
   };
 
   const auto finish = [&](Cutoff c, bool exhausted) {
-    res.stats.cutoff = c;
     res.exhausted = exhausted && c == Cutoff::kNone;
-    res.stats.seconds = elapsed();
-    res.stats.statesStored = passed.states();
-    res.stats.lockContention = passed.lockContention();
-    res.stats.storeLookups = passed.lookups();
-    res.stats.storeProbeSteps = passed.probeSteps();
-    res.stats.zonesMerged = passed.merges();
-    res.stats.storeBytes = passed.bytes();
+    meter.finish(res.stats, c, gen_, interner, passed);
     return res;
   };
 
   SymbolicState init = gen_.initial();
-  if (init.zone.isEmpty()) {
-    // A lifted initial state (System::setClockInit) violated an
-    // invariant: nothing is reachable.
-    return finish(Cutoff::kNone, true);
-  }
-  if (!goal.deadlock && goal.matches(sys_, init)) {
-    arena.push_back(
-        {interner.intern(init.d), std::move(init.zone), Transition{}, -1});
-    res.reachable = true;
-    buildTrace(0);
-    return finish(Cutoff::kNone, false);
+  if (search::endsAtInitial(sys_, goal, init, interner, res)) {
+    return finish(Cutoff::kNone, res.exhausted);
   }
   {
     const uint32_t id = passed.testAndInsert(init);
@@ -133,13 +108,8 @@ Result Reachability::runParallelBfs(const Goal& goal) {
     frontier.push_back(0);
   }
 
-  // Cutoffs discovered mid-level (first one wins; kNone = keep going).
-  std::atomic<uint8_t> abort{static_cast<uint8_t>(Cutoff::kNone)};
-  const auto raiseCutoff = [&](Cutoff c) {
-    uint8_t expect = static_cast<uint8_t>(Cutoff::kNone);
-    abort.compare_exchange_strong(expect, static_cast<uint8_t>(c),
-                                  std::memory_order_relaxed);
-  };
+  // Cutoffs discovered mid-level (first one wins).
+  search::CutoffLatch abort;
   // Running totals the workers consult between barriers. `approxBytes`
   // tracks the sequential engine's accounting (each stored state is
   // counted in the passed store and again in the arena) closely enough
@@ -153,15 +123,10 @@ Result Reachability::runParallelBfs(const Goal& goal) {
                             arena.size() * sizeof(Node) +
                             frontier.size() * sizeof(int64_t);
     res.stats.peakBytes = std::max(res.stats.peakBytes, res.stats.bytesStored);
-    if (opts_.maxMemoryBytes != 0 &&
-        res.stats.bytesStored > opts_.maxMemoryBytes) {
-      return finish(Cutoff::kMemory, false);
-    }
-    if (opts_.maxStates != 0 && res.stats.statesExplored > opts_.maxStates) {
-      return finish(Cutoff::kStates, false);
-    }
-    if (opts_.maxSeconds > 0.0 && elapsed() > opts_.maxSeconds) {
-      return finish(Cutoff::kTime, false);
+    if (const Cutoff c =
+            meter.check(res.stats.bytesStored, res.stats.statesExplored);
+        c != Cutoff::kNone) {
+      return finish(c, false);
     }
     approxBytes.store(res.stats.bytesStored, std::memory_order_relaxed);
 
@@ -174,10 +139,7 @@ Result Reachability::runParallelBfs(const Goal& goal) {
     const auto work = [&](size_t tid) {
       WorkerOut& o = outs[tid];
       for (;;) {
-        if (abort.load(std::memory_order_relaxed) !=
-            static_cast<uint8_t>(Cutoff::kNone)) {
-          return;
-        }
+        if (abort.raised()) return;
         const size_t begin =
             cursor.fetch_add(chunk, std::memory_order_relaxed);
         if (begin >= fsize) return;
@@ -190,13 +152,12 @@ Result Reachability::runParallelBfs(const Goal& goal) {
           ++o.explored;
           const size_t total =
               exploredTotal.fetch_add(1, std::memory_order_relaxed) + 1;
-          if (opts_.maxStates != 0 && total > opts_.maxStates) {
-            raiseCutoff(Cutoff::kStates);
-            return;
+          Cutoff c = meter.checkStates(total);
+          if (c == Cutoff::kNone && (o.explored & 31) == 0) {
+            c = meter.checkTime();
           }
-          if (opts_.maxSeconds > 0.0 && (o.explored & 31) == 0 &&
-              elapsed() > opts_.maxSeconds) {
-            raiseCutoff(Cutoff::kTime);
+          if (c != Cutoff::kNone) {
+            abort.raise(c);
             return;
           }
           std::vector<Successor> succs = gen_.successors(curD, cur.zone);
@@ -229,9 +190,7 @@ Result Reachability::runParallelBfs(const Goal& goal) {
                 approxBytes.fetch_add(2 * suc.state.zone.memoryBytes() +
                                           sizeof(Node) + 64,
                                       std::memory_order_relaxed);
-            if (opts_.maxMemoryBytes != 0 && nb > opts_.maxMemoryBytes) {
-              raiseCutoff(Cutoff::kMemory);
-            }
+            abort.raise(meter.checkMemory(nb));
             o.nodes.push_back(PendingNode{
                 pos, ord,
                 Node{id, std::move(suc.state.zone), std::move(suc.via), idx}});
@@ -287,9 +246,7 @@ Result Reachability::runParallelBfs(const Goal& goal) {
       return finish(Cutoff::kNone, false);
     }
 
-    const Cutoff aborted = static_cast<Cutoff>(
-        abort.load(std::memory_order_relaxed));
-    if (aborted != Cutoff::kNone) return finish(aborted, false);
+    if (abort.raised()) return finish(abort.get(), false);
 
     std::vector<PendingNode> merged;
     merged.reserve(pending);

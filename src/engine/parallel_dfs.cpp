@@ -1,8 +1,7 @@
-// Parallel depth-first reachability: work-stealing DFS and a seeded
-// portfolio race.
+// Work-stealing parallel depth-first reachability
+// (`opts.threads > 1`, depth-first order).
 //
-// Work-stealing mode (`opts.threads > 1`, depth-first order): each
-// worker owns a stack of pending frames (a frame = one generated,
+// Each worker owns a stack of pending frames (a frame = one generated,
 // deduplicated state awaiting expansion). The owner pushes and pops at
 // the top, so an undisturbed worker explores in exactly the sequential
 // depth-first order; an idle worker steals the *oldest* frame from the
@@ -14,14 +13,7 @@
 // ordered by the stack mutexes, so a thief always observes fully
 // constructed ancestors and trace reconstruction is race-free.
 //
-// Portfolio mode (`opts.portfolio`): workers run *independent*
-// sequential DFS searches — worker 0 with the configured order and
-// seed, workers 1.. with kRandomDfs and seeds seed+1, seed+2, ... —
-// and race. The first worker with a conclusive verdict (a witness that
-// passes the trace validator, or an exhausted state space) wins and
-// cancels the rest through a shared flag polled in the DFS loop.
-//
-// Both modes guarantee *verdict equivalence* with sequential DFS —
+// The engine guarantees *verdict equivalence* with sequential DFS —
 // same reachable/exhausted answer — but not trace determinism: which
 // witness is found depends on scheduling. Every positive verdict is
 // concretized and validated before being returned (see DESIGN.md
@@ -29,7 +21,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -41,13 +32,12 @@
 #include "engine/interner.hpp"
 #include "engine/passed_store.hpp"
 #include "engine/reachability.hpp"
+#include "engine/search_common.hpp"
 #include "engine/trace.hpp"
 
 namespace engine {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 /// One deduplicated state awaiting expansion: interned discrete id plus
 /// zone (the discrete vectors live once in the run's StateInterner).
@@ -81,29 +71,13 @@ struct WorkerLocal {
   size_t peakDepth = 0;
 };
 
-SymbolicTrace traceFromChain(const StateInterner& interner,
-                             const DfsNode* leaf) {
-  std::vector<TraceStep> rev;
-  for (const DfsNode* n = leaf; n != nullptr; n = n->parent) {
-    rev.push_back(
-        TraceStep{n->via, SymbolicState{interner.get(n->did), n->zone}});
-  }
-  std::reverse(rev.begin(), rev.end());
-  SymbolicTrace t;
-  t.steps = std::move(rev);
-  return t;
-}
-
 }  // namespace
 
 Result Reachability::runParallelDfs(const Goal& goal) {
   const size_t nThreads = std::max<size_t>(2, opts_.threads);
   Result res;
   res.stats.perThreadExplored.assign(nThreads, 0);
-  const Clock::time_point start = Clock::now();
-  const auto elapsed = [&] {
-    return std::chrono::duration<double>(Clock::now() - start).count();
-  };
+  const search::Meter meter(opts_);
 
   StateInterner& interner = *interner_;
   ShardedPassedStore passed(opts_.shardBits, opts_, interner);
@@ -129,12 +103,7 @@ Result Reachability::runParallelDfs(const Goal& goal) {
   std::atomic<size_t> pendingCount{0};
   std::atomic<size_t> exploredTotal{0};
   std::atomic<size_t> arenaBytes{0};
-  std::atomic<uint8_t> abort{static_cast<uint8_t>(Cutoff::kNone)};
-  const auto raiseCutoff = [&](Cutoff c) {
-    uint8_t expect = static_cast<uint8_t>(Cutoff::kNone);
-    abort.compare_exchange_strong(expect, static_cast<uint8_t>(c),
-                                  std::memory_order_relaxed);
-  };
+  search::CutoffLatch abort;
 
   // First goal hit wins; which one that is depends on scheduling
   // (verdict equivalence, not trace determinism).
@@ -144,33 +113,25 @@ Result Reachability::runParallelDfs(const Goal& goal) {
   const auto reportGoal = [&](const DfsNode* parent, Successor* last) {
     std::lock_guard<std::mutex> lk(goalMutex);
     if (goalFound.load(std::memory_order_relaxed)) return;
+    const auto nodeAt = [](const DfsNode* n) -> const DfsNode& { return *n; };
     if (last != nullptr) {
-      DfsNode leaf{interner.intern(last->state.d), std::move(last->state.zone),
-                   std::move(last->via), parent,
-                   parent == nullptr ? 1 : parent->depth + 1};
-      goalTrace = traceFromChain(interner, &leaf);
+      const DfsNode leaf{interner.intern(last->state.d),
+                         std::move(last->state.zone), std::move(last->via),
+                         parent, parent == nullptr ? 1 : parent->depth + 1};
+      goalTrace = search::traceFromChain(interner, &leaf, nullptr, nodeAt);
     } else {
-      goalTrace = traceFromChain(interner, parent);
+      goalTrace = search::traceFromChain(interner, parent, nullptr, nodeAt);
     }
     goalFound.store(true, std::memory_order_release);
   };
 
   const auto stopping = [&] {
-    return goalFound.load(std::memory_order_relaxed) ||
-           abort.load(std::memory_order_relaxed) !=
-               static_cast<uint8_t>(Cutoff::kNone);
+    return goalFound.load(std::memory_order_relaxed) || abort.raised();
   };
 
   const auto finish = [&](Cutoff c, bool exhausted) {
-    res.stats.cutoff = c;
     res.exhausted = exhausted && c == Cutoff::kNone && !bits;
-    res.stats.seconds = elapsed();
-    res.stats.statesStored = bits ? 0 : passed.states();
-    res.stats.lockContention = passed.lockContention();
-    res.stats.storeLookups = passed.lookups();
-    res.stats.storeProbeSteps = passed.probeSteps();
-    res.stats.zonesMerged = passed.merges();
-    res.stats.storeBytes = passed.bytes();
+    meter.finish(res.stats, c, gen_, interner, passed);
     // The node arenas only grow, so the final byte count doubles as the
     // high-water mark.
     res.stats.bytesStored = arenaBytes.load(std::memory_order_relaxed) +
@@ -190,18 +151,8 @@ Result Reachability::runParallelDfs(const Goal& goal) {
   };
 
   SymbolicState init = gen_.initial();
-  if (init.zone.isEmpty()) {
-    // A lifted initial state (System::setClockInit) violated an
-    // invariant: nothing is reachable.
-    return finish(Cutoff::kNone, true);
-  }
-  if (!goal.deadlock && goal.matches(sys_, init)) {
-    locals[0].arena.push_back(DfsNode{interner.intern(init.d),
-                                      std::move(init.zone), Transition{},
-                                      nullptr, 1});
-    res.reachable = true;
-    res.trace = traceFromChain(interner, &locals[0].arena.back());
-    return finish(Cutoff::kNone, false);
+  if (search::endsAtInitial(sys_, goal, init, interner, res)) {
+    return finish(Cutoff::kNone, res.exhausted);
   }
   const uint32_t initId = claim(init);
   assert(initId != StateInterner::kNoId);
@@ -253,13 +204,8 @@ Result Reachability::runParallelDfs(const Goal& goal) {
       ++local.explored;
       const size_t total =
           exploredTotal.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (opts_.maxStates != 0 && total > opts_.maxStates) {
-        raiseCutoff(Cutoff::kStates);
-      }
-      if (opts_.maxSeconds > 0.0 && (local.explored & 15) == 0 &&
-          elapsed() > opts_.maxSeconds) {
-        raiseCutoff(Cutoff::kTime);
-      }
+      abort.raise(meter.checkStates(total));
+      if ((local.explored & 15) == 0) abort.raise(meter.checkTime());
 
       const DiscreteState& nodeD = interner.get(node->did);
       std::vector<Successor> succs = gen_.successors(nodeD, node->zone);
@@ -267,11 +213,7 @@ Result Reachability::runParallelDfs(const Goal& goal) {
           goal.matches(sys_, nodeD, node->zone)) {
         reportGoal(node, nullptr);
       }
-      if (opts_.order == SearchOrder::kRandomDfs) {
-        std::shuffle(succs.begin(), succs.end(), rng);
-      } else if (opts_.dfsReverse) {
-        std::reverse(succs.begin(), succs.end());
-      }
+      search::orderSuccessors(succs, opts_, rng);
 
       // Push in reverse so the first successor in search order is on
       // top of the stack — an undisturbed worker explores depth-first
@@ -294,11 +236,12 @@ Result Reachability::runParallelDfs(const Goal& goal) {
             arenaBytes.fetch_add(suc.state.zone.memoryBytes() +
                                      sizeof(DfsNode) + sizeof(const DfsNode*),
                                  std::memory_order_relaxed);
-        if (opts_.maxMemoryBytes != 0 &&
-            nb + interner.bytes() +
-                    (bits ? bits->bytes() : passed.approxBytes()) >
-                opts_.maxMemoryBytes) {
-          raiseCutoff(Cutoff::kMemory);
+        // The interner and store byte counters are written by every
+        // worker; read them only when there is a budget to test.
+        if (opts_.maxMemoryBytes != 0) {
+          abort.raise(meter.checkMemory(
+              nb + interner.bytes() +
+              (bits ? bits->bytes() : passed.approxBytes())));
         }
         local.arena.push_back(DfsNode{id, std::move(suc.state.zone),
                                       std::move(suc.via), node,
@@ -346,106 +289,8 @@ Result Reachability::runParallelDfs(const Goal& goal) {
     }
     return finish(Cutoff::kNone, false);
   }
-  const Cutoff aborted =
-      static_cast<Cutoff>(abort.load(std::memory_order_relaxed));
-  if (aborted != Cutoff::kNone) return finish(aborted, false);
+  if (abort.raised()) return finish(abort.get(), false);
   return finish(Cutoff::kNone, true);
-}
-
-Result Reachability::runPortfolioDfs(const Goal& goal) {
-  const size_t nThreads = std::max<size_t>(2, opts_.threads);
-  const Clock::time_point start = Clock::now();
-
-  std::atomic<bool> cancel{false};
-  std::atomic<int> winner{-1};
-  std::vector<Result> results(nThreads);
-  std::vector<uint8_t> conclusive(nThreads, 0);
-
-  const auto work = [&](size_t tid) {
-    Options o = opts_;
-    o.threads = 1;
-    o.portfolio = false;
-    o.seed = opts_.seed + tid;
-    // Worker 0 runs the configured search unchanged (the portfolio is
-    // never worse than the sequential heuristic); the rest diversify
-    // with the seeded random order.
-    if (tid > 0) {
-      o.order = SearchOrder::kRandomDfs;
-      o.dfsReverse = false;
-    }
-    Result r = dfsCore(goal, o, &cancel);
-    if (r.stats.cutoff == Cutoff::kNone && (r.reachable || r.exhausted)) {
-      bool valid = true;
-      if (r.reachable) {
-        // Only a witness that survives concretization + validation may
-        // win the race.
-        std::string err;
-        const auto ct = concretize(sys_, r.trace, &err);
-        valid = ct.has_value() && validate(sys_, *ct, &err);
-        assert(valid && "portfolio worker produced an invalid witness");
-      }
-      if (valid) {
-        conclusive[tid] = 1;
-        int expect = -1;
-        if (winner.compare_exchange_strong(expect, static_cast<int>(tid))) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
-      }
-    }
-    results[tid] = std::move(r);
-  };
-
-  {
-    std::vector<std::thread> pool;
-    pool.reserve(nThreads - 1);
-    for (size_t tid = 1; tid < nThreads; ++tid) pool.emplace_back(work, tid);
-    work(0);
-    for (std::thread& t : pool) t.join();
-  }
-
-  // The winner's verdict is the portfolio's verdict. With no winner
-  // every worker was inconclusive (cut off, or a completed bit-state
-  // search); report worker 0's outcome as representative.
-  const int win = winner.load(std::memory_order_relaxed);
-  Result res = std::move(results[static_cast<size_t>(win < 0 ? 0 : win)]);
-  res.stats.seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-
-  // Aggregate the race statistics across workers.
-  res.stats.perThreadExplored.assign(nThreads, 0);
-  res.stats.statesExplored = 0;
-  res.stats.statesGenerated = 0;
-  res.stats.statesStored = 0;
-  res.stats.bytesStored = 0;
-  res.stats.peakBytes = 0;
-  res.stats.peakStackDepth = 0;
-  res.stats.storeLookups = 0;
-  res.stats.storeProbeSteps = 0;
-  res.stats.zonesMerged = 0;
-  res.stats.storeBytes = 0;
-  for (size_t tid = 0; tid < nThreads; ++tid) {
-    const Stats& s = results[tid].stats;
-    res.stats.perThreadExplored[tid] = s.statesExplored;
-    res.stats.statesExplored += s.statesExplored;
-    res.stats.statesGenerated += s.statesGenerated;
-    res.stats.statesStored += s.statesStored;
-    res.stats.bytesStored += s.bytesStored;
-    res.stats.storeLookups += s.storeLookups;
-    res.stats.storeProbeSteps += s.storeProbeSteps;
-    res.stats.zonesMerged += s.zonesMerged;
-    res.stats.storeBytes += s.storeBytes;
-    // The workers run concurrently, so the portfolio's true high-water
-    // mark is close to the sum of the per-worker peaks.
-    res.stats.peakBytes += s.peakBytes;
-    res.stats.peakStackDepth =
-        std::max(res.stats.peakStackDepth, s.peakStackDepth);
-    if (static_cast<int>(tid) != win &&
-        (s.cutoff == Cutoff::kCancelled ||
-         (conclusive[tid] != 0 && win >= 0))) {
-      ++res.stats.cancelledWorkers;
-    }
-  }
-  return res;
 }
 
 }  // namespace engine

@@ -96,7 +96,7 @@ class PassedStore {
   }
 
   [[nodiscard]] size_t bytes() const noexcept { return bytes_; }
-  /// Stored zones (the engine's statesStored; merging and subsumption
+  /// Stored zones (the engine's storedZones; merging and subsumption
   /// pruning shrink it).
   [[nodiscard]] size_t states() const noexcept { return zones_; }
   /// Distinct discrete buckets in the table.

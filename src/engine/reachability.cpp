@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <deque>
 #include <random>
 
 #include "dbm/pool.hpp"
 #include "engine/interner.hpp"
-#include "engine/opt_bridge.hpp"
 #include "engine/passed_store.hpp"
+#include "engine/search_common.hpp"
 
 namespace engine {
 
@@ -35,34 +34,6 @@ bool Goal::matches(const ta::System& sys, const DiscreteState& d,
   return true;
 }
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-struct CutoffChecker {
-  const Options& opts;
-  Clock::time_point start = Clock::now();
-
-  [[nodiscard]] Cutoff check(const Stats& st) const {
-    if (opts.maxMemoryBytes != 0 && st.bytesStored > opts.maxMemoryBytes)
-      return Cutoff::kMemory;
-    if (opts.maxStates != 0 && st.statesExplored > opts.maxStates)
-      return Cutoff::kStates;
-    if (opts.maxSeconds > 0.0) {
-      const double secs =
-          std::chrono::duration<double>(Clock::now() - start).count();
-      if (secs > opts.maxSeconds) return Cutoff::kTime;
-    }
-    return Cutoff::kNone;
-  }
-
-  [[nodiscard]] double seconds() const {
-    return std::chrono::duration<double>(Clock::now() - start).count();
-  }
-};
-
-}  // namespace
-
 Reachability::Reachability(const ta::System& sys, Options opts)
     : sys_(sys), opts_(opts), gen_(sys, opts_) {
   assert((!opts_.bitstateHashing || opts_.order != SearchOrder::kBfs) &&
@@ -73,55 +44,30 @@ Reachability::~Reachability() = default;
 
 Result Reachability::run(const Goal& goal) {
   // Pre-exploration optimization (lazy — the pins depend on the goal).
-  // When the pipeline changed anything, delegate the search to an inner
-  // engine over the optimized system and map the goal forward and the
-  // witness trace back; the inner engine runs at optLevel 0, so the
-  // optimizer runs exactly once per run().
   double optSeconds = 0.0;
   if (opts_.optLevel > 0) {
     ta::OptimizedModel model =
         opt_bridge::optimizeForGoal(sys_, goal, opts_.optLevel);
-    if (model.changed()) {
-      Options inner = opts_;
-      inner.optLevel = 0;
-      Reachability engine(model.system(), inner);
-      Result res = engine.run(opt_bridge::mapGoal(sys_, goal, model));
-      opt_bridge::mergePassStats(res.stats, model.stats());
-      if (res.reachable) {
-        res.trace = opt_bridge::backMapTrace(sys_, model, res.trace);
-      }
-      return res;
-    }
-    optSeconds = model.stats().seconds;
+    auto res = search::runOptimized(
+        sys_, goal, opts_, model, &optSeconds,
+        [&](const Options& inner, const Goal& g) {
+          return Reachability(model.system(), inner).run(g);
+        });
+    if (res) return *std::move(res);
   }
 
   // Clocks the goal observes must survive the reductions.
   gen_.observeGoalConstraints(goal.clockConstraints);
-  // Fresh discrete-state arena per run: every engine (and every
-  // portfolio worker) of this search interns into it and resolves the
-  // ids it stores back through it.
+  // Fresh discrete-state arena per run: the engine (and every worker
+  // of a parallel one) interns into it and resolves the ids it stores
+  // back through it.
   interner_ = std::make_unique<StateInterner>(opts_.internStates);
   Result res;
   if (opts_.order != SearchOrder::kBfs) {
-    if (opts_.threads > 1) {
-      res = opts_.portfolio ? runPortfolioDfs(goal) : runParallelDfs(goal);
-    } else {
-      res = runDfs(goal);
-    }
+    res = opts_.threads > 1 ? runParallelDfs(goal) : runDfs(goal);
   } else {
     res = opts_.threads > 1 ? runParallelBfs(goal) : runBfs(goal);
   }
-  // Abstraction observability: the generator is shared by every engine
-  // (and every portfolio worker), so fill these in once here rather
-  // than in each engine's finish path.
-  res.stats.storedZones = res.stats.statesStored;
-  res.stats.extrapolationCoarsenings = gen_.extrapolationCoarsenings();
-  res.stats.inactiveClocksFreed = gen_.inactiveClocksFreed();
-  // Interner observability — like the generator, the arena is shared
-  // by every engine and portfolio worker of this run.
-  res.stats.statesInterned = interner_->size();
-  res.stats.internHits = interner_->hits();
-  res.stats.internBytes = interner_->bytes();
   // The pipeline ran but found nothing to rewrite; record its cost.
   res.stats.optSeconds = optSeconds;
   return res;
@@ -142,7 +88,7 @@ Result Reachability::runBfs(const Goal& goal) {
   };
 
   Result res;
-  CutoffChecker cut{opts_};
+  const search::Meter meter(opts_);
   StateInterner& interner = *interner_;
   PassedStore passed(opts_, interner);
 
@@ -151,40 +97,21 @@ Result Reachability::runBfs(const Goal& goal) {
   size_t arenaBytes = 0;
 
   const auto buildTrace = [&](int64_t idx) {
-    std::vector<TraceStep> rev;
-    for (int64_t k = idx; k >= 0; k = arena[static_cast<size_t>(k)].parent) {
-      const Node& n = arena[static_cast<size_t>(k)];
-      rev.push_back(TraceStep{n.via, SymbolicState{interner.get(n.did),
-                                                   n.zone}});
-    }
-    std::reverse(rev.begin(), rev.end());
-    res.trace.steps = std::move(rev);
+    res.trace = search::traceFromChain(
+        interner, idx, -1, [&](int64_t k) -> const Node& {
+          return arena[static_cast<size_t>(k)];
+        });
   };
 
   const auto finish = [&](Cutoff c, bool exhausted) {
-    res.stats.cutoff = c;
     res.exhausted = exhausted && c == Cutoff::kNone;
-    res.stats.seconds = cut.seconds();
-    res.stats.statesStored = passed.states();
-    res.stats.storeLookups = passed.lookups();
-    res.stats.storeProbeSteps = passed.probeSteps();
-    res.stats.zonesMerged = passed.merges();
-    res.stats.storeBytes = passed.bytes();
+    meter.finish(res.stats, c, gen_, interner, passed);
     return res;
   };
 
   SymbolicState init = gen_.initial();
-  if (init.zone.isEmpty()) {
-    // A lifted initial state (System::setClockInit) violated an
-    // invariant: nothing is reachable.
-    return finish(Cutoff::kNone, true);
-  }
-  if (!goal.deadlock && goal.matches(sys_, init)) {
-    arena.push_back(
-        {interner.intern(init.d), std::move(init.zone), Transition{}, -1});
-    res.reachable = true;
-    buildTrace(0);
-    return finish(Cutoff::kNone, false);
+  if (search::endsAtInitial(sys_, goal, init, interner, res)) {
+    return finish(Cutoff::kNone, res.exhausted);
   }
   {
     const uint64_t h = init.d.hash();
@@ -205,7 +132,9 @@ Result Reachability::runBfs(const Goal& goal) {
                             arena.size() * sizeof(Node) +
                             waiting.size() * sizeof(int64_t);
     res.stats.peakBytes = std::max(res.stats.peakBytes, res.stats.bytesStored);
-    if (const Cutoff c = cut.check(res.stats); c != Cutoff::kNone) {
+    if (const Cutoff c =
+            meter.check(res.stats.bytesStored, res.stats.statesExplored);
+        c != Cutoff::kNone) {
       return finish(c, false);
     }
     const int64_t idx = waiting.front();
@@ -253,13 +182,8 @@ Result Reachability::runBfs(const Goal& goal) {
 // --------------------------------------------------------------------------
 
 Result Reachability::runDfs(const Goal& goal) {
-  return dfsCore(goal, opts_, nullptr);
-}
-
-Result Reachability::dfsCore(const Goal& goal, const Options& opts,
-                             const std::atomic<bool>* cancel) {
   // Frames carry the interned discrete id plus the zone; the discrete
-  // vectors live once in the (run-wide, portfolio-shared) interner.
+  // vectors live once in the interner.
   struct Frame {
     uint32_t did;
     dbm::Dbm zone;
@@ -270,12 +194,12 @@ Result Reachability::dfsCore(const Goal& goal, const Options& opts,
   };
 
   Result res;
-  CutoffChecker cut{opts};
+  const search::Meter meter(opts_);
   StateInterner& interner = *interner_;
-  PassedStore passed(opts, interner);
+  PassedStore passed(opts_, interner);
   std::optional<BitTable> bits;
-  if (opts.bitstateHashing) bits.emplace(opts.hashBits);
-  std::mt19937_64 rng(opts.seed);
+  if (opts_.bitstateHashing) bits.emplace(opts_.hashBits);
+  std::mt19937_64 rng(opts_.seed);
 
   const auto covered = [&](const SymbolicState& s) {
     // testAndSet both queries and marks — call sites rely on that.
@@ -296,11 +220,7 @@ Result Reachability::dfsCore(const Goal& goal, const Options& opts,
   const auto pushFrame = [&](uint32_t did, dbm::Dbm zone, Transition via) {
     Frame f{did, std::move(zone), std::move(via), {}, 0, 0};
     f.succ = gen_.successors(interner.get(did), f.zone);
-    if (opts.order == SearchOrder::kRandomDfs) {
-      std::shuffle(f.succ.begin(), f.succ.end(), rng);
-    } else if (opts.dfsReverse) {
-      std::reverse(f.succ.begin(), f.succ.end());
-    }
+    search::orderSuccessors(f.succ, opts_, rng);
     f.bytes = frameBytes(f);
     stackBytes += f.bytes;
     stack.push_back(std::move(f));
@@ -335,30 +255,15 @@ Result Reachability::dfsCore(const Goal& goal, const Options& opts,
   };
 
   const auto finish = [&](Cutoff c, bool exhausted) {
-    res.stats.cutoff = c;
     // A completed bit-state-hashed search may have pruned real states.
     res.exhausted = exhausted && c == Cutoff::kNone && !bits;
-    res.stats.seconds = cut.seconds();
-    res.stats.statesStored = bits ? 0 : passed.states();
-    res.stats.storeLookups = passed.lookups();
-    res.stats.storeProbeSteps = passed.probeSteps();
-    res.stats.zonesMerged = passed.merges();
-    res.stats.storeBytes = passed.bytes();
+    meter.finish(res.stats, c, gen_, interner, passed);
     return res;
   };
 
   SymbolicState init = gen_.initial();
-  if (init.zone.isEmpty()) {
-    // A lifted initial state (System::setClockInit) violated an
-    // invariant: nothing is reachable.
-    return finish(Cutoff::kNone, true);
-  }
-  if (!goal.deadlock && goal.matches(sys_, init)) {
-    stack.push_back(Frame{interner.intern(init.d), std::move(init.zone),
-                          Transition{}, {}, 0, 0});
-    res.reachable = true;
-    buildTrace(nullptr);
-    return finish(Cutoff::kNone, false);
+  if (search::endsAtInitial(sys_, goal, init, interner, res)) {
+    return finish(Cutoff::kNone, res.exhausted);
   }
   (void)covered(init);  // mark visited (bit-state mode)
   visit(std::move(init), Transition{});
@@ -378,10 +283,9 @@ Result Reachability::dfsCore(const Goal& goal, const Options& opts,
   }
 
   while (!stack.empty()) {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      return finish(Cutoff::kCancelled, false);
-    }
-    if (const Cutoff c = cut.check(res.stats); c != Cutoff::kNone) {
+    if (const Cutoff c =
+            meter.check(res.stats.bytesStored, res.stats.statesExplored);
+        c != Cutoff::kNone) {
       return finish(c, false);
     }
     Frame& top = stack.back();

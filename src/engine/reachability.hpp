@@ -3,7 +3,6 @@
 // into a schedule.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -70,12 +69,6 @@ class Reachability {
  private:
   [[nodiscard]] Result runBfs(const Goal& goal);
   [[nodiscard]] Result runDfs(const Goal& goal);
-  /// The sequential depth-first core behind runDfs and the portfolio
-  /// workers: explores under `localOpts` (order / seed / cut-offs may
-  /// differ from opts_) and, when `cancel` is non-null, aborts with
-  /// Cutoff::kCancelled as soon as it reads true.
-  [[nodiscard]] Result dfsCore(const Goal& goal, const Options& localOpts,
-                               const std::atomic<bool>* cancel);
   /// Level-synchronous multi-threaded BFS (opts.threads > 1); defined
   /// in parallel_bfs.cpp. Verdict-equivalent to runBfs.
   [[nodiscard]] Result runParallelBfs(const Goal& goal);
@@ -84,18 +77,15 @@ class Reachability {
   /// to runDfs (not trace-deterministic); positive verdicts are checked
   /// through the trace validator before being returned.
   [[nodiscard]] Result runParallelDfs(const Goal& goal);
-  /// Portfolio of independent seeded DFS workers racing to the first
-  /// conclusive verdict (opts.portfolio); defined in parallel_dfs.cpp.
-  [[nodiscard]] Result runPortfolioDfs(const Goal& goal);
 
   const ta::System& sys_;
   Options opts_;
   SuccessorGenerator gen_;
   /// Hash-consing arena for discrete states, created per run() and
-  /// shared by every engine and portfolio worker of that run. The
-  /// engines' nodes/frames and the passed stores carry its 32-bit ids
-  /// instead of DiscreteState copies. With opts_.internStates off the
-  /// arena is append-only (one entry per stored state).
+  /// shared by every worker of that run. The engines' nodes/frames and
+  /// the passed stores carry its 32-bit ids instead of DiscreteState
+  /// copies. With opts_.internStates off the arena is append-only (one
+  /// entry per stored state).
   std::unique_ptr<StateInterner> interner_;
 };
 

@@ -12,11 +12,11 @@ namespace engine {
 struct Stats {
   size_t statesExplored = 0;   ///< states popped and expanded
   size_t statesGenerated = 0;  ///< successors constructed
-  size_t statesStored = 0;     ///< currently held in passed/waiting
   size_t bytesStored = 0;      ///< current bytes in passed/waiting/stack
   /// Zones held by the passed store at the end of the run (after
-  /// inclusion subsumption) — the number the abstraction-coarseness
-  /// benchmarks compare. Equals statesStored for the full-zone store.
+  /// inclusion subsumption and merging; best-first: entries not
+  /// displaced by domination; 0 under bit-state hashing) — the number
+  /// the abstraction-coarseness benchmarks compare.
   size_t storedZones = 0;
   /// normalize() calls in which the extrapolation operator actually
   /// widened the zone (a proxy for how much work the abstraction does).
@@ -63,7 +63,7 @@ struct Stats {
   size_t composedProcesses = 0;      ///< automata pairs fused into products
   double optSeconds = 0.0;           ///< wall time spent in the optimizer
 
-  // -- DBM kernel dispatch (process-wide deltas around the run) ---------
+  // -- DBM kernel dispatch (process-wide deltas over the search) --------
   size_t simdKernelOps = 0;    ///< DBM-level ops served by a vector path
   size_t scalarKernelOps = 0;  ///< ops served by the scalar fallback
 
@@ -74,8 +74,6 @@ struct Stats {
                               ///< worker's fair share of the level
   size_t frameSteals = 0;     ///< work-stealing DFS: pending frames taken
                               ///< from another worker's stack
-  size_t cancelledWorkers = 0;  ///< portfolio: workers cancelled after a
-                                ///< winner reached a conclusive verdict
 
   [[nodiscard]] double peakMegabytes() const noexcept {
     return static_cast<double>(peakBytes) / (1024.0 * 1024.0);

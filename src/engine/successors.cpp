@@ -7,17 +7,22 @@
 
 namespace engine {
 
-namespace {
-
-/// True if any location in the vector forbids delay.
-bool delayForbidden(const ta::System& sys, const DiscreteState& d) {
-  for (size_t p = 0; p < d.locs.size(); ++p) {
+bool conjoinInvariants(const ta::System& sys,
+                       const std::vector<ta::LocId>& locs, dbm::Dbm& z) {
+  for (size_t p = 0; p < locs.size(); ++p) {
     const ta::Location& l =
-        sys.automaton(static_cast<ta::ProcId>(p)).location(d.locs[p]);
-    if (l.urgent || l.committed) return true;
+        sys.automaton(static_cast<ta::ProcId>(p)).location(locs[p]);
+    for (const ta::ClockConstraint& cc : l.invariant) {
+      if (!z.constrain(static_cast<uint32_t>(cc.i),
+                       static_cast<uint32_t>(cc.j), cc.bound)) {
+        return false;
+      }
+    }
   }
-  return false;
+  return true;
 }
+
+namespace {
 
 bool anyCommitted(const ta::System& sys, const DiscreteState& d) {
   for (size_t p = 0; p < d.locs.size(); ++p) {
@@ -40,8 +45,7 @@ SuccessorGenerator::SuccessorGenerator(const ta::System& sys,
   assert(sys.finalized() && "System::finalize() must run before the engine");
   baseLower_[0] = 0;
   baseUpper_[0] = 0;
-  if (opts_.extrapolation == Extrapolation::kLocationM ||
-      opts_.extrapolation == Extrapolation::kLocationLUPlus) {
+  if (opts_.extrapolation == Extrapolation::kLocationLUPlus) {
     lu_ = ta::analyzeClockBounds(sys);
   }
 }
@@ -62,25 +66,11 @@ void SuccessorGenerator::collectLU(const DiscreteState& d,
   }
 }
 
-bool SuccessorGenerator::applyInvariants(SymbolicState& s) const {
-  for (size_t p = 0; p < s.d.locs.size(); ++p) {
-    const ta::Location& l =
-        sys_.automaton(static_cast<ta::ProcId>(p)).location(s.d.locs[p]);
-    for (const ta::ClockConstraint& cc : l.invariant) {
-      if (!s.zone.constrain(static_cast<uint32_t>(cc.i),
-                            static_cast<uint32_t>(cc.j), cc.bound)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 bool SuccessorGenerator::normalize(SymbolicState& s) const {
   if (s.zone.isEmpty()) return false;
-  if (!delayForbidden(sys_, s.d)) {
+  if (!delayForbidden(sys_, s.d.locs)) {
     s.zone.up();
-    if (!applyInvariants(s)) return false;
+    if (!conjoinInvariants(sys_, s.d.locs, s.zone)) return false;
   }
   if (opts_.activeClockReduction) {
     // A clock inactive in every process's current location is reset
@@ -113,18 +103,6 @@ bool SuccessorGenerator::normalize(SymbolicState& s) const {
         coarsenings_.fetch_add(1, std::memory_order_relaxed);
       }
       break;
-    case Extrapolation::kLocationM: {
-      thread_local std::vector<dbm::value_t> lower, upper, m;
-      collectLU(s.d, lower, upper);
-      m.resize(lower.size());
-      for (size_t c = 0; c < lower.size(); ++c) {
-        m[c] = std::max(lower[c], upper[c]);
-      }
-      if (s.zone.extrapolateMaxBounds(m)) {
-        coarsenings_.fetch_add(1, std::memory_order_relaxed);
-      }
-      break;
-    }
     case Extrapolation::kLocationLUPlus: {
       thread_local std::vector<dbm::value_t> lower, upper;
       collectLU(s.d, lower, upper);
@@ -155,7 +133,7 @@ SymbolicState SuccessorGenerator::initial() const {
     s.d.locs.push_back(sys_.automaton(static_cast<ta::ProcId>(p)).initial());
   }
   s.d.vars = sys_.initialVars();
-  const bool ok = applyInvariants(s) && normalize(s);
+  const bool ok = conjoinInvariants(sys_, s.d.locs, s.zone) && normalize(s);
   // A zero-origin start always satisfies the invariants (models are
   // built that way); a lifted one may not — the caller sees the empty
   // zone and reports the goal unreachable.
@@ -222,7 +200,7 @@ void SuccessorGenerator::tryFire(const DiscreteState& d,
   }
 
   // 4. Target invariants, then delay/reduce/extrapolate.
-  if (!applyInvariants(next) || !normalize(next)) {
+  if (!conjoinInvariants(sys_, next.d.locs, next.zone) || !normalize(next)) {
     reject();
     return;
   }

@@ -22,6 +22,24 @@ struct Successor {
   Transition via;
 };
 
+/// Conjoin the invariants of every location in `locs` into `z`. False
+/// once `z` is empty.
+[[nodiscard]] bool conjoinInvariants(const ta::System& sys,
+                                     const std::vector<ta::LocId>& locs,
+                                     dbm::Dbm& z);
+
+/// True if an urgent or committed location in `locs` forbids delay.
+/// Inline: normalize() calls it for every generated state.
+[[nodiscard]] inline bool delayForbidden(const ta::System& sys,
+                                         const std::vector<ta::LocId>& locs) {
+  for (size_t p = 0; p < locs.size(); ++p) {
+    const ta::Location& l =
+        sys.automaton(static_cast<ta::ProcId>(p)).location(locs[p]);
+    if (l.urgent || l.committed) return true;
+  }
+  return false;
+}
+
 class SuccessorGenerator {
  public:
   SuccessorGenerator(const ta::System& sys, const Options& opts);
@@ -83,9 +101,8 @@ class SuccessorGenerator {
 
   [[nodiscard]] const ta::System& system() const noexcept { return sys_; }
 
-  /// Cumulative over every state this generator normalized (all
-  /// threads, and — under portfolio mode — all workers): the run()
-  /// entry point copies them into Stats at the end of a search.
+  /// Cumulative over every state this generator normalized, on all
+  /// threads: copied into Stats at the end of a search.
   [[nodiscard]] size_t extrapolationCoarsenings() const noexcept {
     return coarsenings_.load(std::memory_order_relaxed);
   }
@@ -97,9 +114,6 @@ class SuccessorGenerator {
   /// Delay + re-apply invariants + reduce + extrapolate. Returns false
   /// if the state's zone is empty.
   bool normalize(SymbolicState& s) const;
-
-  /// Conjoin the invariants of every current location. False if empty.
-  bool applyInvariants(SymbolicState& s) const;
 
   /// Attempt one discrete transition; appends to `out` on success.
   void tryFire(const DiscreteState& d, const dbm::Dbm& zone,
@@ -116,7 +130,7 @@ class SuccessorGenerator {
   const Options& opts_;
   std::vector<bool> protected_;
   std::vector<dbm::value_t> maxBounds_;
-  /// Static per-location LU tables (kLocationM / kLocationLUPlus only).
+  /// Static per-location LU tables (kLocationLUPlus only).
   ta::LUTable lu_;
   /// Location-independent floor of the combined bounds: -1 everywhere
   /// until observeGoalConstraints folds in the goal's constants.

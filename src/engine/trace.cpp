@@ -3,6 +3,8 @@
 #include <limits>
 #include <sstream>
 
+#include "engine/successors.hpp"
+
 namespace engine {
 
 namespace {
@@ -255,32 +257,6 @@ std::optional<std::vector<int64_t>> pickPoint(dbm::Dbm z) {
   return point;
 }
 
-/// Conjoin the invariants of the location vector into `z`.
-bool conjoinInvariants(const ta::System& sys,
-                       const std::vector<ta::LocId>& locs, dbm::Dbm& z) {
-  for (size_t p = 0; p < locs.size(); ++p) {
-    const ta::Location& l =
-        sys.automaton(static_cast<ta::ProcId>(p)).location(locs[p]);
-    for (const ta::ClockConstraint& cc : l.invariant) {
-      if (!z.constrain(static_cast<uint32_t>(cc.i),
-                       static_cast<uint32_t>(cc.j), cc.bound)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool locsForbidDelay(const ta::System& sys,
-                     const std::vector<ta::LocId>& locs) {
-  for (size_t p = 0; p < locs.size(); ++p) {
-    const ta::Location& l =
-        sys.automaton(static_cast<ta::ProcId>(p)).location(locs[p]);
-    if (l.urgent || l.committed) return true;
-  }
-  return false;
-}
-
 /// The firing zone of step k: delay (when allowed) from the previous
 /// post-transition zone under the previous invariants, then the fired
 /// edges' clock guards.
@@ -289,7 +265,7 @@ std::optional<dbm::Dbm> firingZone(const ta::System& sys,
                                    const std::vector<ta::LocId>& prevLocs,
                                    const Transition& via) {
   dbm::Dbm f = prevPost;
-  if (!locsForbidDelay(sys, prevLocs)) {
+  if (!delayForbidden(sys, prevLocs)) {
     f.up();
     if (!conjoinInvariants(sys, prevLocs, f)) return std::nullopt;
   }

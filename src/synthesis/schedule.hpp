@@ -64,7 +64,7 @@ enum class Optimizer { kBinary, kBestFirst };
 struct OptimizeOptions {
   Optimizer optimizer = Optimizer::kBinary;
   /// Base engine options. softGuides are consumed by kBestFirst only;
-  /// order/threads/portfolio apply to the kBinary probes and to the
+  /// order/threads apply to the kBinary probes and to the
   /// first-found bootstrap run of either optimizer.
   engine::Options engine;
   /// Per-process heuristic target locations for the best-first

@@ -3,14 +3,14 @@
 // committed locations, strict and weak guards, nonzero reset values,
 // bounded integer-variable assignments), explored exhaustively under
 // every engine configuration — sequential BFS/DFS variants, parallel
-// BFS, work-stealing parallel DFS and the seeded portfolio at 2 and 4
-// threads, crossed with every zone-abstraction operator (kGlobalM /
-// kLocationM / kLocationLUPlus, with and without the active-clock
-// reduction) and the storage-engine knobs (discrete-state interning
-// on/off, exact convex-union zone merging, reduced-form zone layout).
-// Config 0 — sequential BFS under kGlobalM — is the
-// oracle: all configurations must agree with it on reachability, and
-// every positive answer must concretize into a validated timed trace.
+// BFS and work-stealing parallel DFS at 2 and 4 threads, crossed with
+// both zone-abstraction operators (kGlobalM / kLocationLUPlus, with and
+// without the active-clock reduction) and the storage-engine knobs
+// (discrete-state interning on/off, exact convex-union zone merging,
+// reduced-form zone layout). Config 0 — sequential BFS under kGlobalM —
+// is the oracle: all configurations must agree with it on
+// reachability, and every positive answer must concretize into a
+// validated timed trace.
 #include <gtest/gtest.h>
 
 #include "engine/reachability.hpp"
@@ -70,54 +70,36 @@ Options config(int kind) {
       o.seed = 7;
       o.threads = 4;
       break;
-    case 12:  // portfolio race, 2 workers
-      o.order = SearchOrder::kDfs;
-      o.portfolio = true;
-      o.threads = 2;
-      break;
-    case 13:  // portfolio race, 4 workers
-      o.order = SearchOrder::kRandomDfs;
-      o.seed = 13;
-      o.portfolio = true;
-      o.threads = 4;
-      break;
-    case 14:  // work-stealing DFS over the reduced-form passed store
+    case 12:  // work-stealing DFS over the reduced-form passed store
       o.order = SearchOrder::kDfs;
       o.threads = 2;
       o.compactPassed = true;
       break;
-    // -- Extrapolation-mode matrix: every operator crossed with
-    //    sequential BFS, sequential DFS and a parallel engine, each
-    //    checked against the kGlobalM oracle (config 0). Configs 1-14
-    //    inherit the kLocationLUPlus default, so the coarsest operator
-    //    is additionally exercised by every engine above.
-    case 15:
+    // -- Extrapolation-mode matrix: global Extra_M under sequential
+    //    DFS and both parallel engines, each checked against the
+    //    kGlobalM oracle (config 0). Configs 1-12 inherit the
+    //    kLocationLUPlus default, so the coarser operator is
+    //    additionally exercised by every engine above.
+    case 13:
       o.order = SearchOrder::kDfs;
       o.extrapolation = Extrapolation::kGlobalM;
       break;
-    case 16:  // global-M under the parallel BFS explorer
+    case 14:  // global-M under the parallel BFS explorer
       o.extrapolation = Extrapolation::kGlobalM;
       o.threads = 2;
       o.shardBits = 2;
       break;
-    case 17:
-      o.extrapolation = Extrapolation::kLocationM;
-      break;
-    case 18:
+    case 15:  // global-M under the work-stealing DFS explorer
       o.order = SearchOrder::kDfs;
-      o.extrapolation = Extrapolation::kLocationM;
-      break;
-    case 19:  // location-M under the work-stealing DFS explorer
-      o.order = SearchOrder::kDfs;
-      o.extrapolation = Extrapolation::kLocationM;
+      o.extrapolation = Extrapolation::kGlobalM;
       o.threads = 2;
       o.shardBits = 2;
       break;
-    case 20:  // LU+ without the active-clock reduction
+    case 16:  // LU+ without the active-clock reduction
       o.extrapolation = Extrapolation::kLocationLUPlus;
       o.activeClockReduction = false;
       break;
-    case 21:  // LU+ with exact-equality dedup (no zone inclusion)
+    case 17:  // LU+ with exact-equality dedup (no zone inclusion)
       o.order = SearchOrder::kDfs;
       o.extrapolation = Extrapolation::kLocationLUPlus;
       o.inclusionChecking = false;
@@ -125,51 +107,45 @@ Options config(int kind) {
     // -- Storage-engine matrix: interning off (append-only arena) and
     //    exact convex-union merging on, alone and combined, across
     //    sequential and parallel engines and both zone layouts.
-    case 22:  // BFS without discrete-state interning
+    case 18:  // BFS without discrete-state interning
       o.internStates = false;
       break;
-    case 23:  // BFS with convex-union zone merging
+    case 19:  // BFS with convex-union zone merging
       o.mergeZones = true;
       break;
-    case 24:  // work-stealing DFS with merging, sharded store
+    case 20:  // work-stealing DFS with merging, sharded store
       o.order = SearchOrder::kDfs;
       o.threads = 2;
       o.shardBits = 2;
       o.mergeZones = true;
       break;
-    case 25:  // DFS, interning off + merging on
+    case 21:  // DFS, interning off + merging on
       o.order = SearchOrder::kDfs;
       o.internStates = false;
       o.mergeZones = true;
       break;
-    case 26:  // reduced-form store with merging, interning off
+    case 22:  // reduced-form store with merging, interning off
       o.compactPassed = true;
       o.mergeZones = true;
       o.internStates = false;
       break;
     // -- Optimizer matrix: every engine family at optLevel 0 (model
     //    explored exactly as built) against the default optLevel 2 of
-    //    configs 1-26, plus the intermediate level 1 pipeline.
-    case 27:  // sequential BFS, LU+ default, optimizer off
+    //    configs 1-22, plus the intermediate level 1 pipeline.
+    case 23:  // sequential BFS, LU+ default, optimizer off
       o.optLevel = 0;
       break;
-    case 28:  // sequential DFS, optimizer off
+    case 24:  // sequential DFS, optimizer off
       o.order = SearchOrder::kDfs;
       o.optLevel = 0;
       break;
-    case 29:  // parallel BFS, optimizer off
+    case 25:  // parallel BFS, optimizer off
       o.threads = 2;
       o.shardBits = 2;
       o.optLevel = 0;
       break;
-    case 30:  // work-stealing DFS, optimizer off
+    case 26:  // work-stealing DFS, optimizer off
       o.order = SearchOrder::kDfs;
-      o.threads = 2;
-      o.optLevel = 0;
-      break;
-    case 31:  // portfolio race, optimizer off
-      o.order = SearchOrder::kDfs;
-      o.portfolio = true;
       o.threads = 2;
       o.optLevel = 0;
       break;
@@ -180,7 +156,7 @@ Options config(int kind) {
   return o;
 }
 
-constexpr int kNumConfigs = 33;
+constexpr int kNumConfigs = 28;
 
 class Differential : public ::testing::TestWithParam<uint64_t> {};
 

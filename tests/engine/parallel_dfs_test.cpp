@@ -1,10 +1,8 @@
 // Parallel-vs-sequential equivalence of the depth-first engine: the
-// work-stealing explorer and the seeded portfolio must report the same
-// reachable/exhausted verdicts as sequential DFS across threads in
-// {1, 2, 4} on Fischer's protocol and small batch-plant models,
-// deadlock goals included; all three cutoff paths must fire; positive
-// verdicts must validate; and mid-search cancellation in portfolio
-// mode must be observable in the stats.
+// work-stealing explorer must report the same reachable/exhausted
+// verdicts as sequential DFS across threads in {1, 2, 4} on Fischer's
+// protocol and small batch-plant models, deadlock goals included; all
+// three cutoff paths must fire; and positive verdicts must validate.
 #include <string>
 #include <vector>
 
@@ -20,12 +18,11 @@ namespace {
 
 constexpr size_t kThreadCounts[] = {1, 2, 4};
 
-Options dfsOptions(size_t threads, bool portfolio = false) {
+Options dfsOptions(size_t threads) {
   Options o;
   o.order = SearchOrder::kRandomDfs;
   o.seed = 1;
   o.threads = threads;
-  o.portfolio = portfolio;
   o.maxSeconds = 60.0;
   return o;
 }
@@ -75,49 +72,40 @@ void expectValidTrace(const ta::System& sys, const Result& res,
 }
 
 TEST(ParallelDfs, FischerViolationFoundAtEveryThreadCount) {
-  for (const bool portfolio : {false, true}) {
-    for (const size_t t : kThreadCounts) {
-      Fischer m(3, 4, 1);
-      Reachability checker(m.sys, dfsOptions(t, portfolio));
-      const Result res = checker.run(m.violation());
-      const std::string what = std::to_string(t) + " threads, portfolio=" +
-                               std::to_string(portfolio);
-      ASSERT_TRUE(res.reachable) << what;
-      ASSERT_FALSE(res.trace.steps.empty()) << what;
-      expectValidTrace(m.sys, res, what);
-    }
+  for (const size_t t : kThreadCounts) {
+    Fischer m(3, 4, 1);
+    Reachability checker(m.sys, dfsOptions(t));
+    const Result res = checker.run(m.violation());
+    const std::string what = std::to_string(t) + " threads";
+    ASSERT_TRUE(res.reachable) << what;
+    ASSERT_FALSE(res.trace.steps.empty()) << what;
+    expectValidTrace(m.sys, res, what);
   }
 }
 
 TEST(ParallelDfs, FischerSafetyExhaustedAtEveryThreadCount) {
-  for (const bool portfolio : {false, true}) {
-    for (const size_t t : kThreadCounts) {
-      Fischer m(4, 2, 3);
-      Reachability checker(m.sys, dfsOptions(t, portfolio));
-      const Result res = checker.run(m.violation());
-      const std::string what = std::to_string(t) + " threads, portfolio=" +
-                               std::to_string(portfolio);
-      EXPECT_FALSE(res.reachable) << what;
-      EXPECT_TRUE(res.exhausted) << what;
-      EXPECT_EQ(res.stats.cutoff, Cutoff::kNone) << what;
-    }
+  for (const size_t t : kThreadCounts) {
+    Fischer m(4, 2, 3);
+    Reachability checker(m.sys, dfsOptions(t));
+    const Result res = checker.run(m.violation());
+    const std::string what = std::to_string(t) + " threads";
+    EXPECT_FALSE(res.reachable) << what;
+    EXPECT_TRUE(res.exhausted) << what;
+    EXPECT_EQ(res.stats.cutoff, Cutoff::kNone) << what;
   }
 }
 
 TEST(ParallelDfs, GuidedPlantScheduleAgrees) {
-  for (const bool portfolio : {false, true}) {
-    for (const size_t t : kThreadCounts) {
-      plant::PlantConfig cfg;
-      cfg.order = plant::standardOrder(2);
-      cfg.guides = plant::GuideLevel::kAll;
-      const auto p = plant::buildPlant(cfg);
-      Reachability checker(p->sys, dfsOptions(t, portfolio));
-      const Result res = checker.run(p->goal);
-      const std::string what = std::to_string(t) + " threads, portfolio=" +
-                               std::to_string(portfolio);
-      ASSERT_TRUE(res.reachable) << what;
-      expectValidTrace(p->sys, res, what);
-    }
+  for (const size_t t : kThreadCounts) {
+    plant::PlantConfig cfg;
+    cfg.order = plant::standardOrder(2);
+    cfg.guides = plant::GuideLevel::kAll;
+    const auto p = plant::buildPlant(cfg);
+    Reachability checker(p->sys, dfsOptions(t));
+    const Result res = checker.run(p->goal);
+    const std::string what = std::to_string(t) + " threads";
+    ASSERT_TRUE(res.reachable) << what;
+    expectValidTrace(p->sys, res, what);
   }
 }
 
@@ -137,141 +125,109 @@ TEST(ParallelDfs, DfsDeclarationOrderAgrees) {
 TEST(ParallelDfs, DeadlockGoalTimelockAgrees) {
   // Invariant x <= 3 with the only exit requiring x >= 5: a timelock
   // every configuration must find.
-  for (const bool portfolio : {false, true}) {
-    for (const size_t t : kThreadCounts) {
-      ta::System sys;
-      const ta::ClockId x = sys.addClock("x");
-      const ta::ProcId p = sys.addAutomaton("P");
-      auto& a = sys.automaton(p);
-      const ta::LocId l0 = a.addLocation("l0");
-      const ta::LocId l1 = a.addLocation("l1");
-      a.setInvariant(l0, {ta::ccLe(x, 3)});
-      sys.edge(p, l0, l1).when(ta::ccGe(x, 5));
-      sys.finalize();
-      Goal g;
-      g.deadlock = true;
-      Reachability checker(sys, dfsOptions(t, portfolio));
-      const Result res = checker.run(g);
-      EXPECT_TRUE(res.reachable)
-          << t << " threads, portfolio=" << portfolio;
-    }
+  for (const size_t t : kThreadCounts) {
+    ta::System sys;
+    const ta::ClockId x = sys.addClock("x");
+    const ta::ProcId p = sys.addAutomaton("P");
+    auto& a = sys.automaton(p);
+    const ta::LocId l0 = a.addLocation("l0");
+    const ta::LocId l1 = a.addLocation("l1");
+    a.setInvariant(l0, {ta::ccLe(x, 3)});
+    sys.edge(p, l0, l1).when(ta::ccGe(x, 5));
+    sys.finalize();
+    Goal g;
+    g.deadlock = true;
+    Reachability checker(sys, dfsOptions(t));
+    const Result res = checker.run(g);
+    EXPECT_TRUE(res.reachable) << t << " threads";
   }
 }
 
 TEST(ParallelDfs, DeadlockFreeModelExhaustsEverywhere) {
-  for (const bool portfolio : {false, true}) {
-    for (const size_t t : kThreadCounts) {
-      ta::System sys;
-      const ta::ProcId p = sys.addAutomaton("P");
-      (void)sys.automaton(p).addLocation("l");
-      sys.edge(p, 0, 0);
-      sys.finalize();
-      Goal g;
-      g.deadlock = true;
-      Reachability checker(sys, dfsOptions(t, portfolio));
-      const Result res = checker.run(g);
-      EXPECT_FALSE(res.reachable) << t << " threads, portfolio=" << portfolio;
-      EXPECT_TRUE(res.exhausted) << t << " threads, portfolio=" << portfolio;
-    }
+  for (const size_t t : kThreadCounts) {
+    ta::System sys;
+    const ta::ProcId p = sys.addAutomaton("P");
+    (void)sys.automaton(p).addLocation("l");
+    sys.edge(p, 0, 0);
+    sys.finalize();
+    Goal g;
+    g.deadlock = true;
+    Reachability checker(sys, dfsOptions(t));
+    const Result res = checker.run(g);
+    EXPECT_FALSE(res.reachable) << t << " threads";
+    EXPECT_TRUE(res.exhausted) << t << " threads";
   }
 }
 
 TEST(ParallelDfs, StatesCutoffAgrees) {
-  for (const bool portfolio : {false, true}) {
-    for (const size_t t : kThreadCounts) {
-      plant::PlantConfig cfg;
-      cfg.order = plant::standardOrder(2);
-      cfg.guides = plant::GuideLevel::kNone;
-      const auto p = plant::buildPlant(cfg);
-      Options o = dfsOptions(t, portfolio);
-      o.maxStates = 500;
-      Reachability checker(p->sys, o);
-      const Result res = checker.run(p->goal);
-      const std::string what = std::to_string(t) + " threads, portfolio=" +
-                               std::to_string(portfolio);
-      EXPECT_FALSE(res.reachable) << what;
-      EXPECT_FALSE(res.exhausted) << what;
-      EXPECT_EQ(res.stats.cutoff, Cutoff::kStates) << what;
-    }
+  for (const size_t t : kThreadCounts) {
+    plant::PlantConfig cfg;
+    cfg.order = plant::standardOrder(2);
+    cfg.guides = plant::GuideLevel::kNone;
+    const auto p = plant::buildPlant(cfg);
+    Options o = dfsOptions(t);
+    o.maxStates = 500;
+    Reachability checker(p->sys, o);
+    const Result res = checker.run(p->goal);
+    const std::string what = std::to_string(t) + " threads";
+    EXPECT_FALSE(res.reachable) << what;
+    EXPECT_FALSE(res.exhausted) << what;
+    EXPECT_EQ(res.stats.cutoff, Cutoff::kStates) << what;
   }
 }
 
 TEST(ParallelDfs, MemoryCutoffAgrees) {
-  for (const bool portfolio : {false, true}) {
-    for (const size_t t : kThreadCounts) {
-      plant::PlantConfig cfg;
-      cfg.order = plant::standardOrder(2);
-      cfg.guides = plant::GuideLevel::kNone;
-      const auto p = plant::buildPlant(cfg);
-      Options o = dfsOptions(t, portfolio);
-      o.maxMemoryBytes = 512 * 1024;
-      Reachability checker(p->sys, o);
-      const Result res = checker.run(p->goal);
-      const std::string what = std::to_string(t) + " threads, portfolio=" +
-                               std::to_string(portfolio);
-      EXPECT_FALSE(res.reachable) << what;
-      EXPECT_FALSE(res.exhausted) << what;
-      EXPECT_EQ(res.stats.cutoff, Cutoff::kMemory) << what;
-    }
+  for (const size_t t : kThreadCounts) {
+    plant::PlantConfig cfg;
+    cfg.order = plant::standardOrder(2);
+    cfg.guides = plant::GuideLevel::kNone;
+    const auto p = plant::buildPlant(cfg);
+    Options o = dfsOptions(t);
+    o.maxMemoryBytes = 512 * 1024;
+    Reachability checker(p->sys, o);
+    const Result res = checker.run(p->goal);
+    const std::string what = std::to_string(t) + " threads";
+    EXPECT_FALSE(res.reachable) << what;
+    EXPECT_FALSE(res.exhausted) << what;
+    EXPECT_EQ(res.stats.cutoff, Cutoff::kMemory) << what;
   }
 }
 
 TEST(ParallelDfs, TimeCutoffAgrees) {
-  for (const bool portfolio : {false, true}) {
-    for (const size_t t : kThreadCounts) {
-      plant::PlantConfig cfg;
-      cfg.order = plant::standardOrder(3);
-      cfg.guides = plant::GuideLevel::kNone;
-      const auto p = plant::buildPlant(cfg);
-      Options o = dfsOptions(t, portfolio);
-      // The unguided 3-batch space takes minutes to exhaust; a
-      // millisecond budget must abort with the time cutoff.
-      o.maxSeconds = 0.001;
-      Reachability checker(p->sys, o);
-      const Result res = checker.run(p->goal);
-      const std::string what = std::to_string(t) + " threads, portfolio=" +
-                               std::to_string(portfolio);
-      EXPECT_FALSE(res.exhausted) << what;
-      if (!res.reachable) {
-        EXPECT_EQ(res.stats.cutoff, Cutoff::kTime) << what;
-      }
+  for (const size_t t : kThreadCounts) {
+    plant::PlantConfig cfg;
+    cfg.order = plant::standardOrder(3);
+    cfg.guides = plant::GuideLevel::kNone;
+    const auto p = plant::buildPlant(cfg);
+    Options o = dfsOptions(t);
+    // The unguided 3-batch space takes minutes to exhaust; a
+    // millisecond budget must abort with the time cutoff.
+    o.maxSeconds = 0.001;
+    Reachability checker(p->sys, o);
+    const Result res = checker.run(p->goal);
+    const std::string what = std::to_string(t) + " threads";
+    EXPECT_FALSE(res.exhausted) << what;
+    if (!res.reachable) {
+      EXPECT_EQ(res.stats.cutoff, Cutoff::kTime) << what;
     }
   }
-}
-
-TEST(ParallelDfs, PortfolioCancelsLosersMidSearch) {
-  // A reachable goal with a non-trivial search: exactly one worker wins
-  // the race, every other worker is cancelled (either it observed the
-  // cancel flag mid-search or it lost the conclusive-verdict CAS).
-  plant::PlantConfig cfg;
-  cfg.order = plant::standardOrder(3);
-  cfg.guides = plant::GuideLevel::kAll;
-  const auto p = plant::buildPlant(cfg);
-  Reachability checker(p->sys, dfsOptions(4, true));
-  const Result res = checker.run(p->goal);
-  ASSERT_TRUE(res.reachable);
-  EXPECT_EQ(res.stats.cancelledWorkers, 3u);
-  expectValidTrace(p->sys, res, "portfolio");
 }
 
 TEST(ParallelDfs, PerThreadStatsAndPeakStackDepth) {
   // peakStackDepth must aggregate the per-worker maximum (regression:
   // it stayed zero), per-thread explored counts must be reported like
   // the BFS path does, and their sum must equal statesExplored.
-  for (const bool portfolio : {false, true}) {
-    Fischer m(4, 2, 3);
-    Reachability checker(m.sys, dfsOptions(4, portfolio));
-    const Result res = checker.run(m.violation());
-    const std::string what = portfolio ? "portfolio" : "work-stealing";
-    ASSERT_EQ(res.stats.perThreadExplored.size(), 4u) << what;
-    size_t sum = 0;
-    for (const size_t n : res.stats.perThreadExplored) sum += n;
-    EXPECT_EQ(sum, res.stats.statesExplored) << what;
-    EXPECT_GT(res.stats.statesExplored, 0u) << what;
-    // The Fischer state graph is deeper than one state, and every
-    // parallel worker tracks its own stack/trace depth.
-    EXPECT_GT(res.stats.peakStackDepth, 1u) << what;
-  }
+  Fischer m(4, 2, 3);
+  Reachability checker(m.sys, dfsOptions(4));
+  const Result res = checker.run(m.violation());
+  ASSERT_EQ(res.stats.perThreadExplored.size(), 4u);
+  size_t sum = 0;
+  for (const size_t n : res.stats.perThreadExplored) sum += n;
+  EXPECT_EQ(sum, res.stats.statesExplored);
+  EXPECT_GT(res.stats.statesExplored, 0u);
+  // The Fischer state graph is deeper than one state, and every
+  // parallel worker tracks its own stack/trace depth.
+  EXPECT_GT(res.stats.peakStackDepth, 1u);
 }
 
 TEST(ParallelDfs, WorkStealingSingleShardStillCorrect) {

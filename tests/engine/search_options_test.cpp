@@ -2,6 +2,7 @@
 // DFS / bit-state hashing, inclusion checking, reductions, cut-offs.
 #include <gtest/gtest.h>
 
+#include "engine/best_first.hpp"
 #include "engine/reachability.hpp"
 #include "engine/trace.hpp"
 #include "ta/system.hpp"
@@ -14,20 +15,23 @@ using ta::ccLe;
 
 /// A "diamond grid" model: two independent counters stepped by timed
 /// self-loops — a classic interleaving state space with a known size
-/// ((kMax+1)^2 discrete states) and a reachable corner.
+/// ((kMax+1)^2 discrete states) and a reachable corner. With
+/// `costClock`, a never-reset clock `t` serves as best-first's cost.
 struct Grid {
   static constexpr int kMax = 6;
   ta::System sys;
   ta::ProcId pa, pb;
   ta::VarId a, b;
+  ta::ClockId t = 0;
 
-  Grid() {
+  explicit Grid(bool costClock = false) {
     a = sys.addVar("a", 0);
     b = sys.addVar("b", 0);
     pa = sys.addAutomaton("A");
     pb = sys.addAutomaton("B");
     const ta::ClockId x = sys.addClock("x");
     const ta::ClockId y = sys.addClock("y");
+    if (costClock) t = sys.addClock("t");
     auto& aa = sys.automaton(pa);
     auto& ab = sys.automaton(pb);
     const ta::LocId la = aa.addLocation("l");
@@ -122,7 +126,7 @@ TEST(SearchOptions, BitstateHashingFindsGoal) {
   Reachability checker(g.sys, o);
   const Result res = checker.run(g.corner());
   EXPECT_TRUE(res.reachable);
-  EXPECT_EQ(res.stats.statesStored, 0u) << "BSH stores no zones";
+  EXPECT_EQ(res.stats.storedZones, 0u) << "BSH stores no zones";
 }
 
 TEST(SearchOptions, BitstateNegativeIsInconclusive) {
@@ -166,7 +170,7 @@ TEST(SearchOptions, InclusionReducesStoredStates) {
     Options o;
     o.inclusionChecking = inclusion;
     Reachability checker(g.sys, o);
-    return checker.run(g.unreachable()).stats.statesStored;
+    return checker.run(g.unreachable()).stats.storedZones;
   };
   EXPECT_LE(storedWith(true), storedWith(false));
 }
@@ -183,13 +187,32 @@ TEST(SearchOptions, TimeCutoffReported) {
 }
 
 TEST(SearchOptions, StateCutoffReported) {
-  Grid g;
+  // maxStates means the same on every engine: the search stops once it
+  // has expanded more than maxStates states, so a sequential engine
+  // expands exactly maxStates + 1.
+  for (const SearchOrder order :
+       {SearchOrder::kBfs, SearchOrder::kDfs, SearchOrder::kRandomDfs}) {
+    Grid g;
+    Options o;
+    o.order = order;
+    o.maxStates = 5;
+    Reachability checker(g.sys, o);
+    const Result res = checker.run(g.corner());
+    EXPECT_FALSE(res.reachable) << "order " << static_cast<int>(order);
+    EXPECT_EQ(res.stats.cutoff, Cutoff::kStates)
+        << "order " << static_cast<int>(order);
+    EXPECT_EQ(res.stats.statesExplored, o.maxStates + 1)
+        << "order " << static_cast<int>(order);
+  }
+  Grid g(/*costClock=*/true);
   Options o;
   o.maxStates = 5;
-  Reachability checker(g.sys, o);
-  const Result res = checker.run(g.corner());
-  EXPECT_FALSE(res.reachable);
-  EXPECT_EQ(res.stats.cutoff, Cutoff::kStates);
+  BestFirst bf(g.sys, o, g.t);
+  const BestFirstResult res = bf.run(g.corner());
+  EXPECT_FALSE(res.reachable) << "best-first";
+  EXPECT_FALSE(res.optimal) << "best-first";
+  EXPECT_EQ(res.stats.cutoff, Cutoff::kStates) << "best-first";
+  EXPECT_EQ(res.stats.statesExplored, o.maxStates + 1) << "best-first";
 }
 
 TEST(SearchOptions, MemoryCutoffReported) {

@@ -117,7 +117,8 @@ TEST(StoreParallel, DisjointInsertsAllLand) {
 }
 
 TEST(StoreParallel, SharedInternerAcrossStores) {
-  // The portfolio shape: per-worker PassedStores over one interner.
+  // Per-worker PassedStores over one interner: concurrent interning of
+  // the same states must dedupe to one arena entry each.
   const unsigned nThreads = 4;
   StateInterner interner(true);
   Options opts;

@@ -271,7 +271,7 @@ TEST(StorePlant, InternOnOffIdenticalSearch) {
   ASSERT_TRUE(b.reachable);
   // Interning changes representation only: identical search.
   EXPECT_EQ(a.stats.statesExplored, b.stats.statesExplored);
-  EXPECT_EQ(a.stats.statesStored, b.stats.statesStored);
+  EXPECT_EQ(a.stats.storedZones, b.stats.storedZones);
   // With dedup the arena holds distinct discrete states and records
   // hits; append-only holds one entry per intern call.
   EXPECT_LE(a.stats.statesInterned, b.stats.statesInterned);
@@ -294,7 +294,7 @@ TEST(StorePlant, MergingPreservesVerdictAndShrinksStore) {
   ASSERT_TRUE(plain.reachable);
   EXPECT_EQ(plain.reachable, merged.reachable);
   // Exact merging can only reduce what is stored.
-  EXPECT_LE(merged.stats.statesStored, plain.stats.statesStored);
+  EXPECT_LE(merged.stats.storedZones, plain.stats.storedZones);
 }
 
 }  // namespace

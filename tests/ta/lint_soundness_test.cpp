@@ -88,7 +88,7 @@ TEST(LintSoundness, LintDoesNotPerturbVerdictsOrStats) {
           << name << " query " << q;
       EXPECT_EQ(rOn.stats.statesGenerated, rOff.stats.statesGenerated)
           << name << " query " << q;
-      EXPECT_EQ(rOn.stats.statesStored, rOff.stats.statesStored)
+      EXPECT_EQ(rOn.stats.storedZones, rOff.stats.storedZones)
           << name << " query " << q;
     }
   }
