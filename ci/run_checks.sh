@@ -23,11 +23,13 @@
 #                 every multi-threaded explorer (parallel BFS,
 #                 work-stealing DFS) under ThreadSanitizer.
 #   4. asan     — fresh -DSANITIZE=address build (ASan + UBSan),
-#                 ctest -L fuzz plus the static LU-bound analysis and
-#                 differential suites by name: the randomized zone
-#                 workloads drive the extrapolation operators and the
-#                 bounds fixpoint through their edge cases under
-#                 memory/UB checking.
+#                 ctest -L fuzz plus the static LU-bound analysis,
+#                 optimizer, concretization and DBM unit suites by
+#                 name: the randomized zone workloads drive the
+#                 extrapolation operators and the bounds fixpoint
+#                 through their edge cases, and partly allocated
+#                 ZoneBatch blocks and clock-indexed point completion
+#                 only fail on a bad index under memory/UB checking.
 #   5. store /  — the storage + kernel stage: the perf-smoke gates that
 #      kernels    certify the flat passed store (covered() throughput
 #                 vs the legacy map layout, guided-workload bytes vs
@@ -162,6 +164,11 @@ ctest --test-dir build-asan --output-on-failure -L fuzz -j "$jobs"
 # suite's opt-level configs already run under TSan in stage 3.)
 ctest --test-dir build-asan --output-on-failure -R 'BoundsAnalysis|OptPasses' \
   -j "$jobs"
+# Trace concretization (the O(n) per clock point completion and its
+# constrain-and-reclose oracle), the validator, and the DBM unit suite
+# (freeClocks' row pass) by name.
+ctest --test-dir build-asan --output-on-failure \
+  -R 'Concretize|Validate|Dbm\.' -j "$jobs"
 
 echo "== stage 5c: storage engine under the sanitizer builds =="
 # The interner's lock-free reads and the flat store's probe loops under

@@ -108,17 +108,31 @@ void Dbm::copyClock(uint32_t i, uint32_t j) {
   raw_[j * n + i] = kZeroBound;
 }
 
-void Dbm::freeClock(uint32_t i) {
+void Dbm::freeClocks(std::span<const char> mask) {
+  assert(mask.size() == dim_ && mask[0] == 0);
   invalidateHash();
-  assert(i > 0 && i < dim_);
   const uint32_t n = dim_;
-  for (uint32_t j = 0; j < n; ++j) {
-    if (j == i) continue;
-    raw_[i * n + j] = kInfinity;
-    raw_[j * n + i] = raw_[j * n];  // x_j - x_i <= x_j - 0 since x_i >= 0
+  // Kept rows visit only the freed columns (a thread-local buffer: this
+  // runs once per normalized state).
+  thread_local std::vector<uint32_t> freed;
+  freed.clear();
+  for (uint32_t i = 1; i < n; ++i) {
+    if (mask[i] != 0) freed.push_back(i);
   }
-  raw_[i * n] = kInfinity;
-  raw_[i] = kZeroBound;  // 0 - x_i <= 0
+  for (uint32_t r = 0; r < n; ++r) {
+    raw_t* row = raw_.data() + size_t{r} * n;
+    if (mask[r] != 0) {
+      // A freed clock has no upper bound against anything.
+      const raw_t diag = row[r];
+      std::fill(row, row + n, kInfinity);
+      row[r] = diag;
+      continue;
+    }
+    // x_r - x_i <= x_r - 0 since x_i >= 0; row 0 keeps just 0 - x_i <= 0.
+    // Column 0 is never freed, so row[0] still holds the input bound.
+    const raw_t toZero = r == 0 ? kZeroBound : row[0];
+    for (const uint32_t i : freed) row[i] = toZero;
+  }
 }
 
 bool Dbm::extrapolateMaxBounds(std::span<const value_t> max) {

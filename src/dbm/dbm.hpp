@@ -152,8 +152,11 @@ class Dbm {
   /// x_i := x_j. Stays canonical.
   void copyClock(uint32_t i, uint32_t j);
 
-  /// Remove all constraints on x_i (used by active-clock reduction).
-  void freeClock(uint32_t i);
+  /// Remove all constraints on every clock i with mask[i] != 0, except
+  /// x_i >= 0 (the active-clock reduction). One row-major pass; the
+  /// result equals freeing the clocks one at a time, in any order.
+  /// mask.size() == dimension() and mask[0] == 0. Stays canonical.
+  void freeClocks(std::span<const char> mask);
 
   // -- Abstraction ------------------------------------------------------
 

@@ -154,25 +154,6 @@ uint32_t blockEqualScalar(const raw_t* blk, const raw_t* q, size_t elems,
   return mask;
 }
 
-void laneMinPlusScalar(raw_t* dst, const raw_t* row, const raw_t* add,
-                       size_t n) noexcept {
-  // Snapshot the add lanes: `add` may point inside `dst` (the k-th
-  // element of the row being relaxed), and the AVX2 path loads it once
-  // upfront — both paths must see the pre-update values.
-  raw_t a8[kLanes];
-  for (size_t i = 0; i < kLanes; ++i) a8[i] = add[i];
-  for (size_t j = 0; j < n; ++j) {
-    for (size_t i = 0; i < kLanes; ++i) {
-      const raw_t a = a8[i];
-      const raw_t r = row[j * kLanes + i];
-      if (a == kInfinity || r == kInfinity) continue;
-      const raw_t via = (a + r) - ((a | r) & kWeakBit);
-      raw_t& d = dst[j * kLanes + i];
-      if (via < d) d = via;
-    }
-  }
-}
-
 #if defined(DBM_SIMD_X86)
 
 // -- AVX2 kernels ----------------------------------------------------------
@@ -334,30 +315,6 @@ blockEqualAvx2(const raw_t* blk, const raw_t* q, size_t elems,
   return mask;
 }
 
-__attribute__((target("avx2"))) void laneMinPlusAvx2(raw_t* dst,
-                                                     const raw_t* row,
-                                                     const raw_t* add,
-                                                     size_t n) noexcept {
-  const __m256i addv = _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(add));
-  const __m256i inf = _mm256_set1_epi32(kInfinity);
-  const __m256i one = _mm256_set1_epi32(kWeakBit);
-  const __m256i addInf = _mm256_cmpeq_epi32(addv, inf);
-  for (size_t j = 0; j < n; ++j) {
-    const __m256i r = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(row + j * kLanes));
-    __m256i via = _mm256_sub_epi32(
-        _mm256_add_epi32(addv, r),
-        _mm256_and_si256(_mm256_or_si256(addv, r), one));
-    const __m256i anyInf =
-        _mm256_or_si256(addInf, _mm256_cmpeq_epi32(r, inf));
-    via = _mm256_blendv_epi8(via, inf, anyInf);
-    __m256i* dp = reinterpret_cast<__m256i*>(dst + j * kLanes);
-    const __m256i d = _mm256_loadu_si256(dp);
-    _mm256_storeu_si256(dp, _mm256_min_epi32(d, via));
-  }
-}
-
 #endif  // DBM_SIMD_X86
 
 inline bool useAvx2() noexcept {
@@ -496,17 +453,6 @@ uint32_t blockEqualMask(const raw_t* blk, const raw_t* q, size_t elems,
   if (useAvx2()) return blockEqualAvx2(blk, q, elems, mask);
 #endif
   return blockEqualScalar(blk, q, elems, mask);
-}
-
-void laneMinPlus(raw_t* dst, const raw_t* row, const raw_t* add,
-                 size_t n) noexcept {
-#if defined(DBM_SIMD_X86)
-  if (useAvx2()) {
-    laneMinPlusAvx2(dst, row, add, n);
-    return;
-  }
-#endif
-  laneMinPlusScalar(dst, row, add, n);
 }
 
 }  // namespace dbm::simd

@@ -11,7 +11,7 @@
 //
 // plus the 8-lane transposed kernels ZoneBatch builds its
 // structure-of-arrays scans on (laneSupersetMask / laneSubsetMask /
-// laneEqualMask / laneMinPlus).
+// laneEqualMask and their block-granular forms).
 //
 // Each primitive has a portable scalar implementation and an AVX2
 // implementation compiled behind a function-level target attribute (so
@@ -124,12 +124,5 @@ inline constexpr size_t kLanes = 8;
                                        size_t elems, uint32_t mask) noexcept;
 [[nodiscard]] uint32_t blockEqualMask(const raw_t* blk, const raw_t* q,
                                       size_t elems, uint32_t mask) noexcept;
-
-/// Transposed rowMinPlus over 8 zones at once:
-///   dst[8j + i] = min(dst[8j + i], boundAdd(add[i], row[8j + i]))
-/// for j in [0, n) and every lane i. Infinite add[i] lanes are
-/// absorbing (contribute nothing).
-void laneMinPlus(raw_t* dst, const raw_t* row, const raw_t* add,
-                 size_t n) noexcept;
 
 }  // namespace dbm::simd

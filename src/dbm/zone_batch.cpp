@@ -8,14 +8,13 @@ namespace dbm {
 
 void ZoneBatch::push(std::span<const raw_t> raw) {
   assert(dim_ > 0 && raw.size() == elems_);
-  const size_t idx = size_;
-  const size_t b = idx / kLanes;
-  const size_t lane = idx % kLanes;
-  if (lane == 0) {
-    // Fresh block: dead lanes hold the zero zone so batched kernels can
-    // process them unguarded (normalizing the zero zone is a no-op).
-    data_.resize((b + 1) * stride(), kZeroBound);
-  }
+  const size_t b = size_ / kLanes;
+  const size_t lane = size_ % kLanes;
+  // Grow to the end of this lane's tail only. The block's full 8-lane
+  // prefix comes with its first lane; later lanes only add their tails.
+  const size_t end =
+      b * stride() + prefixElems_ * kLanes + (lane + 1) * tailElems_;
+  if (data_.size() < end) data_.resize(end, kZeroBound);
   raw_t* blk = block(b);
   for (size_t e = 0; e < prefixElems_; ++e) blk[e * kLanes + lane] = raw[e];
   std::memcpy(tail(b, lane), raw.data() + prefixElems_,
@@ -116,52 +115,6 @@ size_t ZoneBatch::pruneSubsets(std::span<const raw_t> q) {
     }
   }
   return removed;
-}
-
-void ZoneBatch::upAll() {
-  if (size_ == 0) return;
-  simd::noteOp();
-  // Element (i, 0) of every zone → kInfinity for i >= 1; dead lanes
-  // hold valid zones, so writing them too is harmless.
-  for (size_t b = 0, nb = numBlocks(); b < nb; ++b) {
-    raw_t* blk = block(b);
-    for (uint32_t i = 1; i < dim_; ++i) {
-      const size_t e = size_t{i} * dim_;
-      if (e < prefixElems_) {
-        raw_t* lanes = blk + e * kLanes;
-        for (size_t l = 0; l < kLanes; ++l) lanes[l] = kInfinity;
-      } else {
-        for (size_t l = 0; l < kLanes; ++l) {
-          tail(b, l)[e - prefixElems_] = kInfinity;
-        }
-      }
-    }
-  }
-}
-
-void ZoneBatch::closeAll() {
-  if (size_ == 0) return;
-  simd::noteOp();
-  const uint32_t n = dim_;
-  RawBuffer buf(elems_);
-  for (size_t idx = 0; idx < size_; ++idx) {
-    copyTo(idx, buf.data());
-    for (uint32_t k = 0; k < n; ++k) {
-      const raw_t* rowK = buf.data() + size_t{k} * n;
-      for (uint32_t i = 0; i < n; ++i) {
-        const raw_t aik = buf[size_t{i} * n + k];
-        if (aik == kInfinity || i == k) continue;
-        simd::rowMinPlus(buf.data() + size_t{i} * n, rowK, aik, n);
-      }
-    }
-    // Write the closed zone back through the split layout.
-    const size_t b = idx / kLanes;
-    const size_t lane = idx % kLanes;
-    raw_t* blk = block(b);
-    for (size_t e = 0; e < prefixElems_; ++e) blk[e * kLanes + lane] = buf[e];
-    std::memcpy(tail(b, lane), buf.data() + prefixElems_,
-                tailElems_ * sizeof(raw_t));
-  }
 }
 
 }  // namespace dbm

@@ -23,12 +23,17 @@
 //     read 8x the data: the survivor's entries are strided 32 bytes
 //     apart, so every cache line of the whole block gets touched.)
 //
-// Batched normalization (upAll / closeAll) runs over the same blocks —
-// dead lanes hold the zero zone, which normalizes harmlessly — so
-// successor batches can be delayed and re-canonicalized in place.
+// Only live lanes are allocated. A block's transposed prefix is always
+// 8 lanes wide (the filter loads whole vectors), but the buffer grows
+// only to the end of the last pushed lane's tail. Dead lanes' prefix
+// entries are masked out of every filter result, so no scan touches a
+// dead lane's tail. A bucket holding one wide zone — the common case on
+// the guided plant — pays for that zone plus 7 dead lanes' two prefix
+// rows, not for 8 zones.
 //
 // Mutation is swap-remove only, keeping blocks dense from the front;
-// order is not preserved (the passed store never relied on it).
+// order is not preserved (the passed store never relied on it). The
+// buffer never shrinks, so memoryBytes() is what the batch holds.
 #pragma once
 
 #include <cassert>
@@ -102,20 +107,7 @@ class ZoneBatch {
   /// number removed.
   size_t pruneSubsets(std::span<const raw_t> q);
 
-  // -- Batched normalization ------------------------------------------
-
-  /// Delay all zones: drop every upper bound (batched up()).
-  void upAll();
-
-  /// Floyd–Warshall closure of all zones in the batch. Does not detect
-  /// emptiness (zones are independent); use zoneEmpty() after.
-  void closeAll();
-
-  /// Canonical-empty check of one zone (valid after closeAll()).
-  [[nodiscard]] bool zoneEmpty(size_t idx) const noexcept {
-    return at(idx, 0, 0) < kZeroBound;
-  }
-
+  /// Heap bytes the batch holds (its buffer's capacity).
   [[nodiscard]] size_t memoryBytes() const noexcept {
     return data_.capacity() * sizeof(raw_t);
   }

@@ -128,10 +128,6 @@ class PassedStore {
     std::vector<uint32_t> moffs;
   };
 
-  [[nodiscard]] size_t blockSize() const noexcept {
-    return size_t{dim_} * dim_;
-  }
-
   [[nodiscard]] std::span<const dbm::MinimalDbm::Entry> edgeSpan(
       const Entry& e, uint32_t k) const noexcept {
     return {e.medges.data() + e.moffs[k], e.moffs[k + 1] - e.moffs[k]};
@@ -214,7 +210,9 @@ class PassedStore {
   }
 
   void insertFull(Entry& e, const dbm::Dbm& z) {
-    const size_t zb = blockSize();
+    // Account the batch's buffer as held: growth slack and dead-lane
+    // prefix rows included (the buffer never shrinks).
+    const size_t heldBefore = e.zones.memoryBytes();
     e.zones.init(dim_);
     const dbm::Dbm* add = &z;
     dbm::Dbm merged(1);
@@ -223,9 +221,7 @@ class PassedStore {
       if (inclusion_) {
         // Drop stored zones the new one subsumes (one SoA scan;
         // swap-remove keeps the blocks dense).
-        const size_t removed = e.zones.pruneSubsets(add->rawData());
-        zones_ -= removed;
-        bytes_ -= removed * zb * sizeof(dbm::raw_t);
+        zones_ -= e.zones.pruneSubsets(add->rawData());
       }
       if (merge_) {
         for (size_t k = 0; k < e.zones.size(); ++k) {
@@ -234,7 +230,6 @@ class PassedStore {
           if (dbm::Dbm::tryConvexUnion(stored, *add, &out, kMergeMaxPieces)) {
             e.zones.swapRemove(k);
             --zones_;
-            bytes_ -= zb * sizeof(dbm::raw_t);
             ++merges_;
             merged = std::move(out);
             add = &merged;
@@ -249,7 +244,7 @@ class PassedStore {
     e.zones.push(*add);
     e.nzones = static_cast<uint32_t>(e.zones.size());
     ++zones_;
-    bytes_ += zb * sizeof(dbm::raw_t);
+    bytes_ += e.zones.memoryBytes() - heldBefore;
   }
 
   void insertCompact(Entry& e, const dbm::Dbm& z) {

@@ -21,8 +21,8 @@ struct Stats {
   /// normalize() calls in which the extrapolation operator actually
   /// widened the zone (a proxy for how much work the abstraction does).
   size_t extrapolationCoarsenings = 0;
-  /// Dbm::freeClock applications by the active-clock reduction (one
-  /// per inactive clock per normalized state).
+  /// Clocks freed by the active-clock reduction (one per inactive
+  /// clock per normalized state).
   size_t inactiveClocksFreed = 0;
   size_t peakBytes = 0;        ///< high-water mark of bytesStored
   size_t peakStackDepth = 0;   ///< DFS only; parallel DFS reports the

@@ -77,23 +77,24 @@ bool SuccessorGenerator::normalize(SymbolicState& s) const {
     // before it is next tested, so its value is irrelevant: free it to
     // merge states that differ only in dead clock values.
     // (Thread-local scratch: normalize runs once per generated state.)
-    thread_local std::vector<char> active;
-    active.assign(sys_.dbmDimension(), 0);
-    active[0] = 1;
+    thread_local std::vector<char> dead;
+    dead.assign(sys_.dbmDimension(), 1);
+    dead[0] = 0;
     for (size_t p = 0; p < s.d.locs.size(); ++p) {
       const ta::Automaton& a = sys_.automaton(static_cast<ta::ProcId>(p));
       for (ta::ClockId c : a.activeClocks(s.d.locs[p])) {
-        active[static_cast<size_t>(c)] = 1;
+        dead[static_cast<size_t>(c)] = 0;
       }
     }
     size_t freed = 0;
     for (uint32_t c = 1; c < sys_.dbmDimension(); ++c) {
-      if (active[c] == 0 && !protected_[c]) {
-        s.zone.freeClock(c);
-        ++freed;
-      }
+      if (protected_[c]) dead[c] = 0;
+      freed += static_cast<size_t>(dead[c]);
     }
-    if (freed != 0) clocksFreed_.fetch_add(freed, std::memory_order_relaxed);
+    if (freed != 0) {
+      s.zone.freeClocks(dead);
+      clocksFreed_.fetch_add(freed, std::memory_order_relaxed);
+    }
   }
   switch (opts_.extrapolation) {
     case Extrapolation::kNone:

@@ -1,5 +1,6 @@
 #include "engine/trace.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 
@@ -223,11 +224,15 @@ struct Replay {
 
 namespace {
 
+/// Smallest integer x_i allowed by `b`, a bound on 0 - x_i.
+int64_t smallestAbove(dbm::raw_t b) {
+  return -dbm::boundValue(b) + (dbm::isStrict(b) ? 1 : 0);
+}
+
 /// Integer value of a zone's lower bound on clock i (smallest integer
 /// the clock may take).
 int64_t lowerInt(const dbm::Dbm& z, uint32_t i) {
-  const dbm::raw_t b = z.at(0, i);  // 0 - x_i <= v  ->  x_i >= -v
-  return -dbm::boundValue(b) + (dbm::isStrict(b) ? 1 : 0);
+  return smallestAbove(z.at(0, i));  // 0 - x_i <= v  ->  x_i >= -v
 }
 
 /// Integer value of a zone's upper bound on clock i, or nullopt if
@@ -238,23 +243,57 @@ std::optional<int64_t> upperInt(const dbm::Dbm& z, uint32_t i) {
   return dbm::boundValue(b) - (dbm::isStrict(b) ? 1 : 0);
 }
 
-/// Pick one integer valuation inside a non-empty zone by successively
-/// pinning each clock to its (integer) lower bound.  All plant-model
-/// bounds are weak and integral, so the corner search succeeds; a
-/// failure is reported, never silently mis-timed.
-std::optional<std::vector<int64_t>> pickPoint(dbm::Dbm z) {
+enum class Completion { kOk, kFixedOutside, kNoIntegerPoint };
+
+/// Complete `point` to an integer valuation inside the canonical,
+/// non-empty zone `z`. Clocks with fixed[i] keep point[i], checked in
+/// index order; then every other clock, in index order, takes the
+/// smallest integer its bounds allow. All plant-model bounds are weak
+/// and integral, so completion succeeds there; a failure is reported,
+/// never silently mis-timed.
+///
+/// Each clock costs O(n), with no re-closure: a canonical DBM is
+/// decomposable, so a valuation of some clocks that meets the
+/// constraints among them (and x_0 = 0) extends to a point of the zone.
+/// Hence the bounds of the next clock given the clocks already chosen —
+/// the tightest of d_0i and v_j + d_ji below, of d_i0 and v_j + d_ij
+/// above — are exactly the bounds the zone would have after pinning
+/// those clocks and re-closing it.
+Completion completePoint(const dbm::Dbm& z, const std::vector<bool>& fixed,
+                         std::vector<int64_t>& point) {
   const uint32_t dim = z.dimension();
-  std::vector<int64_t> point(dim, 0);
-  for (uint32_t i = 1; i < dim; ++i) {
-    const int64_t lo = lowerInt(z, i);
-    const auto v = static_cast<dbm::value_t>(lo);
-    if (!z.constrain(i, 0, dbm::boundWeak(v)) ||
-        !z.constrain(0, i, dbm::boundWeak(-v))) {
-      return std::nullopt;  // fractional-only zone (strict bounds)
+  std::vector<uint32_t> chosen;
+  chosen.reserve(dim);
+  dbm::raw_t lower = 0;  // bound on 0 - x_i
+  dbm::raw_t upper = 0;  // bound on x_i - 0
+  const auto boundsOf = [&](uint32_t i) {
+    lower = z.at(0, i);
+    upper = z.at(i, 0);
+    for (const uint32_t j : chosen) {
+      const auto vj = static_cast<dbm::value_t>(point[j]);
+      lower = std::min(lower, dbm::boundAdd(dbm::boundWeak(-vj), z.at(j, i)));
+      upper = std::min(upper, dbm::boundAdd(z.at(i, j), dbm::boundWeak(vj)));
     }
-    point[i] = lo;
+  };
+  const auto admits = [&](int64_t v) {
+    const auto vi = static_cast<dbm::value_t>(v);
+    return dbm::boundAdd(lower, dbm::boundWeak(vi)) >= dbm::kZeroBound &&
+           dbm::boundAdd(upper, dbm::boundWeak(-vi)) >= dbm::kZeroBound;
+  };
+  for (uint32_t i = 1; i < dim; ++i) {
+    if (!fixed[i]) continue;
+    boundsOf(i);
+    if (!admits(point[i])) return Completion::kFixedOutside;
+    chosen.push_back(i);
   }
-  return point;
+  for (uint32_t i = 1; i < dim; ++i) {
+    if (fixed[i]) continue;
+    boundsOf(i);
+    point[i] = smallestAbove(lower);
+    if (!admits(point[i])) return Completion::kNoIntegerPoint;
+    chosen.push_back(i);
+  }
+  return Completion::kOk;
 }
 
 /// The firing zone of step k: delay (when allowed) from the previous
@@ -342,53 +381,53 @@ std::optional<ConcreteTrace> concretize(const ta::System& sys,
   // ---- Backward pass: concrete valuations and delays. -----------------
   std::vector<std::vector<int64_t>> points(n);
   std::vector<int64_t> delays(n, 0);
-  {
-    const auto p = pickPoint(post[n - 1]);
-    if (!p.has_value()) return fail("final zone has no integer point");
-    points[n - 1] = *p;
+  points[n - 1].assign(dim, 0);
+  if (completePoint(post[n - 1], std::vector<bool>(dim, false),
+                    points[n - 1]) != Completion::kOk) {
+    return fail("final zone has no integer point");
   }
   for (size_t k = n - 1; k >= 1; --k) {
-    auto f = firingZone(sys, post[k - 1], trace.steps[k - 1].state.d.locs,
-                        trace.steps[k].via);
+    const auto f = firingZone(sys, post[k - 1],
+                              trace.steps[k - 1].state.d.locs,
+                              trace.steps[k].via);
     if (!f.has_value()) return fail("backward firing-zone recomputation failed");
 
     // Clocks reset by step k may take any firing value; all others must
     // equal the chosen post-transition value.
-    std::vector<bool> isReset(dim, false);
+    std::vector<bool> kept(dim, true);
     for (const TransitionPart& part : trace.steps[k].via.parts) {
       const ta::Edge& e =
           sys.automaton(part.proc).edges()[static_cast<size_t>(part.edge)];
       for (const ta::ClockReset& r : e.resets) {
-        isReset[static_cast<size_t>(r.clock)] = true;
+        kept[static_cast<size_t>(r.clock)] = false;
       }
     }
-    for (uint32_t i = 1; i < dim; ++i) {
-      if (isReset[i]) continue;
-      const auto v = static_cast<dbm::value_t>(points[k][i]);
-      if (!f->constrain(i, 0, dbm::boundWeak(v)) ||
-          !f->constrain(0, i, dbm::boundWeak(-v))) {
+    std::vector<int64_t> fired = points[k];
+    switch (completePoint(*f, kept, fired)) {
+      case Completion::kOk:
+        break;
+      case Completion::kFixedOutside:
         return fail("post-transition point has no firing preimage at step " +
                     std::to_string(k));
-      }
+      case Completion::kNoIntegerPoint:
+        return fail("firing zone has no integer point");
     }
-    const auto w = pickPoint(*f);
-    if (!w.has_value()) return fail("firing zone has no integer point");
 
-    // Smallest delay d >= 0 with (w - d) inside the previous post zone.
+    // Smallest delay d >= 0 with (fired - d) inside the previous post zone.
     int64_t dLo = 0;
     int64_t dHi = std::numeric_limits<int64_t>::max() / 4;
     for (uint32_t i = 1; i < dim; ++i) {
       if (const auto hi = upperInt(post[k - 1], i); hi.has_value()) {
-        dLo = std::max(dLo, (*w)[i] - *hi);
+        dLo = std::max(dLo, fired[i] - *hi);
       }
-      dHi = std::min(dHi, (*w)[i] - lowerInt(post[k - 1], i));
+      dHi = std::min(dHi, fired[i] - lowerInt(post[k - 1], i));
     }
     if (dLo > dHi) {
       return fail("no feasible integer delay at step " + std::to_string(k));
     }
     delays[k] = dLo;
     points[k - 1].assign(dim, 0);
-    for (uint32_t i = 1; i < dim; ++i) points[k - 1][i] = (*w)[i] - dLo;
+    for (uint32_t i = 1; i < dim; ++i) points[k - 1][i] = fired[i] - dLo;
   }
 
   // ---- Assemble. -------------------------------------------------------

@@ -1,5 +1,6 @@
 // Property-based DBM tests: random sequences of zone operations are
 // cross-checked against brute-force point sampling over a small grid.
+#include <algorithm>
 #include <random>
 #include <vector>
 
@@ -230,6 +231,58 @@ TEST_P(DbmProperty, LUExtrapolationIsCoarserThanMaxBounds) {
         EXPECT_TRUE(luSmall.containsPoint(p));
       }
     }
+  }
+}
+
+/// The per-clock rule freeClocks must reproduce: free x_i alone (keep
+/// only x_i >= 0; x_j - x_i is then bounded by x_j's upper bound).
+void freeOneClock(Dbm& z, uint32_t i) {
+  for (uint32_t j = 0; j < z.dimension(); ++j) {
+    if (j == i) continue;
+    z.setRaw(i, j, kInfinity);
+    z.setRaw(j, i, z.at(j, 0));
+  }
+  z.setRaw(0, i, kZeroBound);
+}
+
+TEST_P(DbmProperty, FreeClocksMatchesPerClockRule) {
+  std::mt19937_64 rng(GetParam());
+  std::uniform_int_distribution<int> val(-kGrid, kGrid);
+  std::uniform_int_distribution<int> coin(0, 1);
+  for (int iter = 0; iter < 60; ++iter) {
+    // A random canonical zone of random dimension, diagonals included.
+    const uint32_t dim = 2 + static_cast<uint32_t>(rng() % 9);
+    Dbm z = Dbm::unconstrained(dim);
+    for (int k = 0, n = static_cast<int>(rng() % 8); k < n; ++k) {
+      const auto i = static_cast<uint32_t>(rng() % dim);
+      const auto j = static_cast<uint32_t>((i + 1 + rng() % (dim - 1)) % dim);
+      Dbm t = z;
+      if (t.constrain(i, j, bound(val(rng), coin(rng) != 0))) z = t;
+    }
+    ASSERT_FALSE(z.isEmpty());
+    // Empty mask, every clock, then a random subset.
+    std::vector<char> mask(dim, 0);
+    if (iter % 3 == 1) std::fill(mask.begin() + 1, mask.end(), 1);
+    if (iter % 3 == 2) {
+      for (uint32_t i = 1; i < dim; ++i) mask[i] = static_cast<char>(coin(rng));
+    }
+    std::vector<uint32_t> order;
+    for (uint32_t i = 1; i < dim; ++i) {
+      if (mask[i] != 0) order.push_back(i);
+    }
+    Dbm inOrder = z;
+    for (const uint32_t i : order) freeOneClock(inOrder, i);
+    std::shuffle(order.begin(), order.end(), rng);
+    Dbm shuffled = z;
+    for (const uint32_t i : order) freeOneClock(shuffled, i);
+
+    Dbm got = z;
+    got.freeClocks(mask);
+    ASSERT_EQ(got, inOrder) << "iter " << iter << "\n" << z.toString();
+    ASSERT_EQ(got, shuffled) << "iter " << iter;
+    Dbm closed = got;
+    ASSERT_TRUE(closed.close());
+    EXPECT_EQ(closed, got) << "freeClocks left a non-canonical zone";
   }
 }
 

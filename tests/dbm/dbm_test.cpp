@@ -110,7 +110,7 @@ TEST(Dbm, FreeClockRemovesConstraints) {
   Dbm z = Dbm::zero(3);
   z.up();
   ASSERT_TRUE(z.constrainUpper(1, 3, false));
-  z.freeClock(1);
+  z.freeClocks(std::vector<char>{0, 1, 0});
   EXPECT_TRUE(z.containsPoint(std::vector<int64_t>{0, 100, 3}));
   EXPECT_FALSE(z.containsPoint(std::vector<int64_t>{0, -1, 3}));
 }

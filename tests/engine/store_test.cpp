@@ -113,6 +113,42 @@ TEST_F(StoreTest, InsertPrunesSubsumedZonesFullLayout) {
   EXPECT_TRUE(store.covered(interner_.get(id), interval(1, 3)));
 }
 
+TEST_F(StoreTest, BytesCountWhatTheBatchHolds) {
+  // One wide bucket (the 45-batch plant's dimension) costs what its
+  // ZoneBatch holds plus a fixed table and entry overhead, at every
+  // fill level of its first two blocks and after a prune.
+  const uint32_t dim = 139;
+  const auto pinned = [dim](int lo, int hi) {
+    dbm::Dbm z = dbm::Dbm::unconstrained(dim);
+    EXPECT_TRUE(z.constrain(0, 1, dbm::boundWeak(-lo)));
+    EXPECT_TRUE(z.constrain(1, 0, dbm::boundWeak(hi)));
+    return z;
+  };
+  PassedStore store(opts_, interner_);
+  const uint32_t id = interner_.intern(ds({0}, {}));
+  dbm::ZoneBatch mirror(dim);
+  std::vector<size_t> overhead;
+  for (int k = 0; k < 9; ++k) {  // disjoint zones: nothing is pruned
+    store.insert(id, pinned(k, k));
+    mirror.push(pinned(k, k));
+    if (k + 1 == 1 || k + 1 == 7 || k + 1 == 9) {
+      overhead.push_back(store.bytes() - mirror.memoryBytes());
+    }
+  }
+  const dbm::Dbm all = pinned(0, 100);
+  store.insert(id, all);
+  EXPECT_EQ(mirror.pruneSubsets(all.rawData()), 9u);
+  mirror.push(all);
+  EXPECT_EQ(store.states(), 1u);
+  overhead.push_back(store.bytes() - mirror.memoryBytes());
+
+  // The slot table (1024 slots of hash + entry index) plus one entry.
+  const size_t table = 1024 * (sizeof(uint64_t) + sizeof(uint32_t));
+  EXPECT_GT(overhead[0], table);
+  EXPECT_LT(overhead[0], table + 1024);
+  for (const size_t o : overhead) EXPECT_EQ(o, overhead[0]);
+}
+
 TEST_F(StoreTest, InsertPrunesSubsumedZonesCompactLayout) {
   // The reduced-form store must prune symmetrically too (a new zone
   // drops the stored zones it covers) — this was one-directional
