@@ -1,10 +1,10 @@
 // Optimizer differential bench: one anytime best-first run against the
 // paper's guided binary search on the 45-batch workload, both under
-// bounded budgets (at this size neither certifies the optimum; the
-// in-test differential pins exact equality at sizes the binary oracle
-// exhausts). The smoke gate requires the best-first run to deliver a
-// schedule at least as good as binary search in at most 0.8x its wall
-// time; rows land in BENCH_bestfirst_opt.json.
+// bounded time and memory budgets (at this size neither certifies the
+// optimum; the in-test differential pins exact equality at sizes the
+// binary oracle exhausts). The smoke gate requires the best-first run
+// to deliver a schedule at least as good as binary search in at most
+// 0.8x its wall time; rows land in BENCH_bestfirst_opt.json.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -31,6 +31,14 @@ std::vector<std::vector<ta::LocId>> plantTargets(const plant::Plant& p) {
   return targets;
 }
 
+// Accounted bytes per search. Best-first keeps a full zone per stored
+// node (77 KB at 45 batches) and, left to its 60 s, outgrows a 16 GB
+// host: its resident set runs ~1.7x the accounted bytes. At this budget
+// it stops with a memory cut-off — an anytime answer, like a time
+// cut-off — after ~20 s; binary's 24 s probes peak below it (2.9 GB
+// accounted on a 4-core AVX2 host).
+constexpr size_t kMemoryBudget = size_t{3} << 30;
+
 struct RunResult {
   synthesis::OptimizeResult res;
   double wallSeconds = 0.0;
@@ -43,6 +51,7 @@ RunResult runOptimizer(const plant::Plant& p, synthesis::Optimizer which,
   oo.engine.order = engine::SearchOrder::kDfs;
   oo.engine.dfsReverse = true;
   oo.engine.maxSeconds = budgetSeconds;
+  oo.engine.maxMemoryBytes = kMemoryBudget;
   oo.heuristicTargets = plantTargets(p);
   const auto t0 = std::chrono::steady_clock::now();
   RunResult out;
@@ -77,22 +86,22 @@ int main(int argc, char** argv) {
   cfg.makespanClock = true;
   const auto p = plant::buildPlant(cfg);
 
+  // Each arm's line is printed as soon as it finishes, so a run killed
+  // in the second arm still shows the first.
+  const auto print = [](const char* name, const RunResult& r) {
+    std::printf("  %-9s  makespan %lld%s  %zu runs  %zu states  %.1fs wall\n",
+                name, static_cast<long long>(r.res.optimalMakespan),
+                r.res.optimal ? "" : " (unproven)", r.res.runs,
+                r.res.stats.statesExplored, r.wallSeconds);
+    std::fflush(stdout);
+  };
+  std::printf("%d batches:\n", batches);
   const RunResult binary =
       runOptimizer(*p, synthesis::Optimizer::kBinary, probeBudget);
+  print("binary", binary);
   const RunResult best =
       runOptimizer(*p, synthesis::Optimizer::kBestFirst, bestFirstBudget);
-
-  std::printf("%d batches:\n", batches);
-  std::printf(
-      "  binary     makespan %lld%s  %zu runs  %zu states  %.1fs wall\n",
-      static_cast<long long>(binary.res.optimalMakespan),
-      binary.res.optimal ? "" : " (unproven)", binary.res.runs,
-      binary.res.stats.statesExplored, binary.wallSeconds);
-  std::printf(
-      "  bestfirst  makespan %lld%s  %zu runs  %zu states  %.1fs wall\n",
-      static_cast<long long>(best.res.optimalMakespan),
-      best.res.optimal ? "" : " (unproven)", best.res.runs,
-      best.res.stats.statesExplored, best.wallSeconds);
+  print("bestfirst", best);
 
   benchutil::Report report("bestfirst_opt");
   const std::string suffix = std::to_string(batches) + "batch";

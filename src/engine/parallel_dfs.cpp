@@ -2,16 +2,26 @@
 // (`opts.threads > 1`, depth-first order).
 //
 // Each worker owns a stack of pending frames (a frame = one generated,
-// deduplicated state awaiting expansion). The owner pushes and pops at
-// the top, so an undisturbed worker explores in exactly the sequential
-// depth-first order; an idle worker steals the *oldest* frame from the
-// bottom of a victim's stack — the frame closest to the root, i.e. the
-// largest unexplored subtree, the classic work-first stealing policy.
-// Deduplication goes through the same ShardedPassedStore as parallel
-// BFS, so zone-inclusion subsumption is unchanged. Frames are
-// arena-allocated per worker and carry parent pointers; publication is
-// ordered by the stack mutexes, so a thief always observes fully
-// constructed ancestors and trace reconstruction is race-free.
+// deduplicated state awaiting expansion) and pushes its children on
+// top, so an undisturbed worker explores in exactly the sequential
+// depth-first order. All workers but the last *follow*: each expands
+// the deepest pending frame in sight — the top of its own stack, unless
+// another worker's top is deeper — so they share one depth-first
+// frontier and expand the siblings the deepest dive would otherwise
+// backtrack into. The last worker *scouts*: it dives on its own and,
+// when its stack runs dry, steals the oldest frame of a victim, the one
+// closest to the root. Random-DFS cost is heavy-tailed — a dive can
+// sink into a dead subtree of 10^5 states — and the scout's dive,
+// started apart from the followers', hedges against that; they join it
+// as soon as it becomes the deepest. Deduplication goes through the same
+// ShardedPassedStore as parallel BFS, so zone-inclusion subsumption is
+// unchanged. Frames are arena-allocated per worker and carry parent
+// pointers; publication is ordered by the stack mutexes, so a thief
+// always observes fully constructed ancestors and trace reconstruction
+// is race-free. A frame counts its unfinished children; when its whole
+// subtree is done its zone goes back to the zone pool, so the search
+// holds zones for the live part of the tree only, as sequential DFS
+// does, instead of one per explored state.
 //
 // The engine guarantees *verdict equivalence* with sequential DFS —
 // same reachable/exhausted answer — but not trace determinism: which
@@ -41,26 +51,47 @@ namespace {
 
 /// One deduplicated state awaiting expansion: interned discrete id plus
 /// zone (the discrete vectors live once in the run's StateInterner).
-/// Immutable once published to a worker stack; parent pointers stay
-/// valid for the whole search because the per-worker arenas only grow,
-/// and the ids they carry are resolvable by any thread because frames
-/// cross threads only through the stack mutexes.
+/// Parent pointers stay valid for the whole search because the
+/// per-worker arenas only grow, and the ids they carry are resolvable
+/// by any thread because frames cross threads only through the stack
+/// mutexes.
 struct DfsNode {
+  DfsNode(uint32_t did_, dbm::Dbm zone_, Transition via_, DfsNode* parent_,
+          uint32_t depth_)
+      : did(did_),
+        zone(std::move(zone_)),
+        via(std::move(via_)),
+        parent(parent_),
+        depth(depth_) {}
+
   uint32_t did;
+  /// Read only while `live` > 0: by the one worker expanding the frame,
+  /// and by a goal report from inside its subtree.
   dbm::Dbm zone;
   Transition via;
-  const DfsNode* parent;  ///< nullptr for the initial state
-  uint32_t depth;         ///< trace depth (initial state = 1)
+  DfsNode* parent;  ///< nullptr for the initial state
+  uint32_t depth;   ///< trace depth (initial state = 1)
+  /// 1 until the frame is expanded, plus one per child whose subtree is
+  /// unfinished. The thread that drops it to 0 recycles the zone and
+  /// releases the frame's hold on its parent.
+  std::atomic<uint32_t> live{1};
 };
 
-/// A worker's stack of pending frames. The owner pushes/pops at the
-/// back; thieves take from the front (the oldest frame). One mutex per
-/// worker keeps the stealing protocol trivially correct — the lock is
-/// uncontended unless someone is actually stealing, and expansion cost
-/// (successor DBM operations) dwarfs it.
+/// A worker's stack of pending frames; every access to `pending` holds
+/// `m`. The lock is uncontended unless someone is taking a frame from
+/// another worker, and expansion cost (successor DBM operations)
+/// dwarfs it.
 struct alignas(64) WorkerStack {
   std::mutex m;
-  std::deque<const DfsNode*> pending;
+  std::deque<DfsNode*> pending;
+  /// Depth of the top frame, 0 when empty. Written under `m`, read
+  /// without it to choose the deepest stack.
+  std::atomic<uint32_t> topDepth{0};
+
+  void setTopDepth() {
+    topDepth.store(pending.empty() ? 0 : pending.back()->depth,
+                   std::memory_order_relaxed);
+  }
 };
 
 struct WorkerLocal {
@@ -69,6 +100,7 @@ struct WorkerLocal {
   size_t generated = 0;
   size_t steals = 0;
   size_t peakDepth = 0;
+  size_t peakBytes = 0;  ///< largest arena total this worker observed
 };
 
 }  // namespace
@@ -110,14 +142,14 @@ Result Reachability::runParallelDfs(const Goal& goal) {
   std::mutex goalMutex;
   std::atomic<bool> goalFound{false};
   SymbolicTrace goalTrace;
-  const auto reportGoal = [&](const DfsNode* parent, Successor* last) {
+  const auto reportGoal = [&](DfsNode* parent, Successor* last) {
     std::lock_guard<std::mutex> lk(goalMutex);
     if (goalFound.load(std::memory_order_relaxed)) return;
     const auto nodeAt = [](const DfsNode* n) -> const DfsNode& { return *n; };
     if (last != nullptr) {
-      const DfsNode leaf{interner.intern(last->state.d),
+      const DfsNode leaf(interner.intern(last->state.d),
                          std::move(last->state.zone), std::move(last->via),
-                         parent, parent == nullptr ? 1 : parent->depth + 1};
+                         parent, parent == nullptr ? 1 : parent->depth + 1);
       goalTrace = search::traceFromChain(interner, &leaf, nullptr, nodeAt);
     } else {
       goalTrace = search::traceFromChain(interner, parent, nullptr, nodeAt);
@@ -132,12 +164,18 @@ Result Reachability::runParallelDfs(const Goal& goal) {
   const auto finish = [&](Cutoff c, bool exhausted) {
     res.exhausted = exhausted && c == Cutoff::kNone && !bits;
     meter.finish(res.stats, c, gen_, interner, passed);
-    // The node arenas only grow, so the final byte count doubles as the
-    // high-water mark.
-    res.stats.bytesStored = arenaBytes.load(std::memory_order_relaxed) +
-                            interner.bytes() +
-                            (bits ? bits->bytes() : passed.bytes());
-    res.stats.peakBytes = res.stats.bytesStored;
+    // The interner and the store only grow (subsumption aside); the
+    // frame arenas shrink as subtrees finish, so their high-water mark
+    // is the largest total any worker observed.
+    const size_t others =
+        interner.bytes() + (bits ? bits->bytes() : passed.bytes());
+    size_t arenaPeak = arenaBytes.load(std::memory_order_relaxed);
+    for (const WorkerLocal& l : locals) {
+      arenaPeak = std::max(arenaPeak, l.peakBytes);
+    }
+    res.stats.bytesStored =
+        arenaBytes.load(std::memory_order_relaxed) + others;
+    res.stats.peakBytes = arenaPeak + others;
     for (size_t tid = 0; tid < nThreads; ++tid) {
       const WorkerLocal& l = locals[tid];
       res.stats.perThreadExplored[tid] = l.explored;
@@ -158,43 +196,78 @@ Result Reachability::runParallelDfs(const Goal& goal) {
   assert(initId != StateInterner::kNoId);
   arenaBytes.fetch_add(init.zone.memoryBytes() + sizeof(DfsNode),
                        std::memory_order_relaxed);
-  locals[0].arena.push_back(
-      DfsNode{initId, std::move(init.zone), Transition{}, nullptr, 1});
+  locals[0].arena.emplace_back(initId, std::move(init.zone), Transition{},
+                               nullptr, 1);
   locals[0].peakDepth = 1;
   stacks[0].pending.push_back(&locals[0].arena.back());
+  stacks[0].setTopDepth();
   pendingCount.store(1, std::memory_order_relaxed);
 
   const auto work = [&](size_t tid) {
     WorkerLocal& local = locals[tid];
     std::mt19937_64 rng(opts_.seed + tid);
+    const bool scout = tid + 1 == nThreads;
     size_t victim = (tid + 1) % nThreads;
 
-    const auto popOwn = [&]() -> const DfsNode* {
-      std::lock_guard<std::mutex> lk(stacks[tid].m);
-      if (stacks[tid].pending.empty()) return nullptr;
-      const DfsNode* n = stacks[tid].pending.back();
-      stacks[tid].pending.pop_back();
+    // Pop the top frame of stack `from`; nullptr when it is empty.
+    const auto popTop = [&](size_t from) -> DfsNode* {
+      WorkerStack& st = stacks[from];
+      std::lock_guard<std::mutex> lk(st.m);
+      if (st.pending.empty()) return nullptr;
+      DfsNode* n = st.pending.back();
+      st.pending.pop_back();
+      st.setTopDepth();
+      if (from != tid) ++local.steals;
       return n;
     };
-    // Steal the oldest pending frame of the next victim that has one.
-    const auto steal = [&]() -> const DfsNode* {
+    // Follower: the deepest top frame of all stacks, our own on ties.
+    // nullptr when every stack is empty, or when the chosen one emptied
+    // in the meantime (the caller simply looks again).
+    const auto takeDeepest = [&]() -> DfsNode* {
+      size_t from = tid;
+      uint32_t deepest = stacks[tid].topDepth.load(std::memory_order_relaxed);
+      for (size_t k = 0; k < nThreads; ++k) {
+        const uint32_t d = stacks[k].topDepth.load(std::memory_order_relaxed);
+        if (d > deepest) {
+          deepest = d;
+          from = k;
+        }
+      }
+      return deepest == 0 ? nullptr : popTop(from);
+    };
+    // Scout: our own top, else the oldest frame of the next victim that
+    // has one.
+    const auto takeScout = [&]() -> DfsNode* {
+      if (DfsNode* n = popTop(tid)) return n;
       for (size_t k = 0; k < nThreads - 1; ++k) {
         WorkerStack& vs = stacks[victim];
         victim = (victim + 1) % nThreads;
         if (victim == tid) victim = (victim + 1) % nThreads;
         std::lock_guard<std::mutex> lk(vs.m);
         if (vs.pending.empty()) continue;
-        const DfsNode* n = vs.pending.front();
+        DfsNode* n = vs.pending.front();
         vs.pending.pop_front();
+        vs.setTopDepth();
         ++local.steals;
         return n;
       }
       return nullptr;
     };
 
+    // A frame is done expanding: drop its own hold, and recycle the
+    // zones of every frame whose subtree that completes.
+    const auto retire = [&](DfsNode* n) {
+      while (n != nullptr &&
+             n->live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        arenaBytes.fetch_sub(n->zone.memoryBytes(), std::memory_order_relaxed);
+        dbm::Dbm dead = std::move(n->zone);
+        dbm::ZonePool::recycle(std::move(dead));
+        n = n->parent;
+      }
+    };
+
     while (!stopping()) {
-      const DfsNode* node = popOwn();
-      if (node == nullptr) node = steal();
+      DfsNode* node = scout ? takeScout() : takeDeepest();
       if (node == nullptr) {
         if (pendingCount.load(std::memory_order_acquire) == 0) return;
         std::this_thread::yield();
@@ -218,7 +291,7 @@ Result Reachability::runParallelDfs(const Goal& goal) {
       // Push in reverse so the first successor in search order is on
       // top of the stack — an undisturbed worker explores depth-first
       // in exactly the sequential order.
-      std::vector<const DfsNode*> fresh;
+      std::vector<DfsNode*> fresh;
       fresh.reserve(succs.size());
       for (Successor& suc : succs) {
         if (stopping()) break;
@@ -232,10 +305,11 @@ Result Reachability::runParallelDfs(const Goal& goal) {
           dbm::ZonePool::recycle(std::move(suc.state.zone));
           continue;
         }
+        const size_t frameBytes = suc.state.zone.memoryBytes() +
+                                  sizeof(DfsNode) + sizeof(DfsNode*);
         const size_t nb =
-            arenaBytes.fetch_add(suc.state.zone.memoryBytes() +
-                                     sizeof(DfsNode) + sizeof(const DfsNode*),
-                                 std::memory_order_relaxed);
+            arenaBytes.fetch_add(frameBytes, std::memory_order_relaxed) +
+            frameBytes;
         // The interner and store byte counters are written by every
         // worker; read them only when there is a budget to test.
         if (opts_.maxMemoryBytes != 0) {
@@ -243,19 +317,25 @@ Result Reachability::runParallelDfs(const Goal& goal) {
               nb + interner.bytes() +
               (bits ? bits->bytes() : passed.approxBytes())));
         }
-        local.arena.push_back(DfsNode{id, std::move(suc.state.zone),
-                                      std::move(suc.via), node,
-                                      node->depth + 1});
+        local.peakBytes = std::max(local.peakBytes, nb);
+        local.arena.emplace_back(id, std::move(suc.state.zone),
+                                 std::move(suc.via), node, node->depth + 1);
         local.peakDepth = std::max<size_t>(local.peakDepth, node->depth + 1);
         fresh.push_back(&local.arena.back());
       }
       if (!fresh.empty()) {
+        // Count the children before anyone can see them: a child can
+        // only retire (and release its hold on `node`) once published.
+        node->live.fetch_add(static_cast<uint32_t>(fresh.size()),
+                             std::memory_order_relaxed);
         pendingCount.fetch_add(fresh.size(), std::memory_order_relaxed);
         std::lock_guard<std::mutex> lk(stacks[tid].m);
         for (size_t k = fresh.size(); k-- > 0;) {
           stacks[tid].pending.push_back(fresh[k]);
         }
+        stacks[tid].setTopDepth();
       }
+      retire(node);
       // Publish this frame's completion only after its children are
       // visible: a worker observing pendingCount == 0 must be able to
       // conclude the whole search space is drained.

@@ -230,6 +230,21 @@ TEST(ParallelDfs, PerThreadStatsAndPeakStackDepth) {
   EXPECT_GT(res.stats.peakStackDepth, 1u);
 }
 
+TEST(ParallelDfs, FinishedSubtreesReturnTheirZones) {
+  // A frame's zone goes back to the pool once its whole subtree is
+  // expanded, so after an exhaustive search no frame holds a zone: the
+  // final byte count falls below the high-water mark, which counts the
+  // zones that were live at the peak.
+  for (const size_t t : {size_t{2}, size_t{4}}) {
+    Fischer m(4, 2, 3);
+    Reachability checker(m.sys, dfsOptions(t));
+    const Result res = checker.run(m.violation());
+    const std::string what = std::to_string(t) + " threads";
+    ASSERT_TRUE(res.exhausted) << what;
+    EXPECT_LT(res.stats.bytesStored, res.stats.peakBytes) << what;
+  }
+}
+
 TEST(ParallelDfs, WorkStealingSingleShardStillCorrect) {
   // shardBits == 0 funnels every insert through one lock — maximal
   // contention, same verdict.
