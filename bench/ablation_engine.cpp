@@ -148,43 +148,9 @@ int storeSmoke() {
 // visit the whole abstract zone graph).
 // ------------------------------------------------------------------
 
-struct Fischer {
-  ta::System sys;
-  std::vector<ta::ProcId> procs;
-  std::vector<ta::LocId> critical;
-
-  Fischer(int n, int d, int k) {
-    const ta::VarId id = sys.addVar("id", 0);
-    for (int i = 1; i <= n; ++i) {
-      const ta::ClockId x = sys.addClock("x" + std::to_string(i));
-      const ta::ProcId p = sys.addAutomaton("P" + std::to_string(i));
-      procs.push_back(p);
-      auto& a = sys.automaton(p);
-      const ta::LocId idle = a.addLocation("idle");
-      const ta::LocId trying = a.addLocation("trying");
-      const ta::LocId waiting = a.addLocation("waiting");
-      const ta::LocId crit = a.addLocation("critical");
-      critical.push_back(crit);
-      a.setInvariant(trying, {ta::ccLe(x, d)});
-      sys.edge(p, idle, trying).guard(sys.rd(id) == 0).reset(x);
-      sys.edge(p, trying, waiting).when(ta::ccLe(x, d)).reset(x).assign(id, i);
-      sys.edge(p, waiting, crit).when(ta::ccGt(x, k)).guard(sys.rd(id) == i);
-      sys.edge(p, waiting, idle).guard(sys.rd(id) != i);
-      sys.edge(p, crit, idle).assign(id, 0);
-    }
-    sys.finalize();
-  }
-
-  [[nodiscard]] engine::Goal mutexViolation() const {
-    engine::Goal bad;
-    bad.locations = {{procs[0], critical[0]}, {procs[1], critical[1]}};
-    return bad;
-  }
-};
-
 engine::Result runFischer(int n, engine::Extrapolation ex, bool activeClocks,
                           double budget, size_t maxStates = 0) {
-  Fischer f(n, /*d=*/2, /*k=*/3);
+  const benchutil::Fischer f(n, /*d=*/2, /*k=*/3);
   engine::Options o;
   o.order = engine::SearchOrder::kBfs;  // deterministic stored counts
   o.extrapolation = ex;

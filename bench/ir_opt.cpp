@@ -175,7 +175,6 @@ void writeReport(const std::vector<WorkloadRow>& rows) {
         << ", \"simplifiedConstraints\": " << c.stats.simplifiedConstraints
         << ", \"elidedVars\": " << c.stats.elidedVars
         << ", \"unifiedClocks\": " << c.stats.unifiedClocks
-        << ", \"composedProcesses\": " << c.stats.composedProcesses
         << ", \"optSeconds\": " << c.stats.optSeconds << "}";
     };
     f << "    {\"workload\": \"" << r.name << "\", ";

@@ -1,8 +1,9 @@
 // Thread-scaling of the parallel depth-first engine on the paper's
 // flagship workload shape: All-Guides batch-plant models, the only
-// configuration whose search order (guided DFS) scales to 60 batches.
+// configuration whose search order (guided DFS) scales to 60 batches,
+// plus one exhaustive proof.
 //
-// Two workloads:
+// Three workloads:
 //
 //  * "budget": the All-Guides model with an unsatisfiable extra goal
 //    constraint and a fixed maxStates budget, so every run performs
@@ -23,10 +24,18 @@
 //    on >= 4-core hosts — goal-directed speedup depends on actual
 //    parallel hardware; below that the rows are reported but the gate
 //    is skipped.
+//  * "proof": Fischer's protocol (D=2, K=3; N=6 quick, N=7 full), the
+//    exhaustive P1/P2 mutex query at 1/2/4 threads. Every run must
+//    exhaust the zone graph without reaching the goal and store the
+//    same number of zones. On >= 4-core hosts 4 threads must beat 1 by
+//    1.3x (quick) / 1.5x (full); below that the ratio is reported.
+//    Unlike the guided verdict workload, a proof has no heavy tail:
+//    every run does the whole graph's work.
 //
 // stdout: one JSON object per line,
 //   {"workload": ..., "mode": "steal", "threads": N,
-//    "seconds": S, "statesExplored": E, "steals": K, "reachable": R}
+//    "seconds": S, "statesExplored": E, "storedZones": Z,
+//    "peakBytes": B, "steals": K, "reachable": R}
 // (machine-readable for the bench trajectory); the human-readable
 // table goes to stderr.  Exit code != 0 on verdict mismatch or gate
 // failure.
@@ -47,8 +56,21 @@ struct Run {
   bool exhausted;
   double seconds;
   size_t explored;
+  size_t storedZones;
+  size_t peakBytes;
   size_t steals;
 };
+
+Run toRun(size_t threads, const engine::Result& res) {
+  return Run{threads,
+             res.reachable,
+             res.exhausted,
+             res.stats.seconds,
+             res.stats.statesExplored,
+             res.stats.storedZones,
+             res.stats.peakBytes,
+             res.stats.frameSteals};
+}
 
 Run runWorkload(int batches, size_t threads, size_t maxStates) {
   plant::PlantConfig cfg;
@@ -77,30 +99,51 @@ Run runWorkload(int batches, size_t threads, size_t maxStates) {
   }
   o.maxSeconds = 900.0;
   engine::Reachability checker(p->sys, o);
-  const engine::Result res = checker.run(goal);
-  return Run{threads,
-             res.reachable,
-             res.exhausted,
-             res.stats.seconds,
-             res.stats.statesExplored,
-             res.stats.frameSteals};
+  return toRun(threads, checker.run(goal));
+}
+
+Run runProof(int processes, size_t threads) {
+  const benchutil::Fischer f(processes, /*d=*/2, /*k=*/3);
+  engine::Options o;
+  o.order = engine::SearchOrder::kDfs;
+  o.threads = threads;
+  o.maxSeconds = 900.0;
+  engine::Reachability checker(f.sys, o);
+  return toRun(threads, checker.run(f.mutexViolation()));
 }
 
 benchutil::Report g_report("parallel_dfs_scaling");
 
 void emit(const std::string& workload, const char* mode, const Run& r) {
   g_report.add(workload + "-" + mode + "-t" + std::to_string(r.threads),
-               r.seconds * 1000.0, 0, r.explored);
+               r.seconds * 1000.0, r.peakBytes, r.storedZones);
   std::printf(
       "{\"workload\": \"%s\", \"mode\": \"%s\", \"threads\": %zu, "
-      "\"seconds\": %.3f, \"statesExplored\": %zu, \"steals\": %zu, "
-      "\"reachable\": %s}\n",
-      workload.c_str(), mode, r.threads, r.seconds, r.explored, r.steals,
-      r.reachable ? "true" : "false");
+      "\"seconds\": %.3f, \"statesExplored\": %zu, \"storedZones\": %zu, "
+      "\"peakBytes\": %zu, \"steals\": %zu, \"reachable\": %s}\n",
+      workload.c_str(), mode, r.threads, r.seconds, r.explored,
+      r.storedZones, r.peakBytes, r.steals, r.reachable ? "true" : "false");
   std::fflush(stdout);
   std::fprintf(stderr, "%-10s %8zu %10.2f %12zu %8zu %9s\n", mode, r.threads,
                r.seconds, r.explored, r.steals,
                r.reachable ? "reach" : "unreach");
+}
+
+/// A 4-thread speedup gate that arms only on >= 4 hardware threads:
+/// below that the workers share cores, so the ratio is reported only.
+bool speedupGate(const char* what, double speedup, double required,
+                 double hw) {
+  if (hw < 4.0) {
+    std::fprintf(stderr,
+                 "note: %.0f hardware thread(s) < 4; %s gate skipped (%.2fx "
+                 "measured)\n",
+                 hw, what, speedup);
+    return true;
+  }
+  if (speedup >= required) return true;
+  std::fprintf(stderr, "%s regression: %.2fx at 4 threads (< %.2fx)\n", what,
+               speedup, required);
+  return false;
 }
 
 }  // namespace
@@ -179,22 +222,39 @@ int main(int argc, char** argv) {
     if (t == 4 && r.seconds > 0.0) vSpeedup4 = vBase / r.seconds;
     emit(vName, "steal", r);
   }
-  // The 1.5x time-to-verdict gate only makes sense with real parallel
-  // hardware underneath; skip it (reporting only) below 4 cores.
-  if (hw >= 4.0) {
-    const double vRequired = quickMode ? 1.3 : 1.5;
-    if (vSpeedup4 < vRequired) {
-      std::fprintf(stderr,
-                   "time-to-verdict regression: %.2fx at 4 threads "
-                   "(< %.2fx)\n",
-                   vSpeedup4, vRequired);
+  if (!speedupGate("time-to-verdict", vSpeedup4, quickMode ? 1.3 : 1.5, hw)) {
+    rc = 1;
+  }
+
+  // ---- Proof workload: exhaustive Fischer mutex query. ----------------
+  const int pProcs = quickMode ? 6 : 7;
+  const std::string pName = "fischer-n" + std::to_string(pProcs) + "-proof";
+  std::fprintf(stderr, "\nparallel_dfs_scaling: %s\n\n", pName.c_str());
+  std::fprintf(stderr, "%-10s %8s %10s %12s %8s %9s\n", "mode", "threads",
+               "seconds", "explored", "steals", "verdict");
+
+  double pBase = 0.0;
+  double pSpeedup4 = 0.0;
+  size_t pStored = 0;
+  for (const size_t t : {size_t{1}, size_t{2}, size_t{4}}) {
+    const Run r = runProof(pProcs, t);
+    if (r.reachable || !r.exhausted) {
+      std::fprintf(stderr, "proof not completed at %zu threads\n", t);
       rc = 1;
     }
-  } else {
-    std::fprintf(stderr,
-                 "note: %.0f hardware thread(s) < 4; time-to-verdict gate "
-                 "skipped (%.2fx measured)\n",
-                 hw, vSpeedup4);
+    if (t == 1) {
+      pBase = r.seconds;
+      pStored = r.storedZones;
+    } else if (r.storedZones != pStored) {
+      std::fprintf(stderr, "stored zones differ at %zu threads: %zu vs %zu\n",
+                   t, r.storedZones, pStored);
+      rc = 1;
+    }
+    if (t == 4 && r.seconds > 0.0) pSpeedup4 = pBase / r.seconds;
+    emit(pName, "steal", r);
+  }
+  if (!speedupGate("proof scaling", pSpeedup4, quickMode ? 1.3 : 1.5, hw)) {
+    rc = 1;
   }
   g_report.write();
   return rc;

@@ -93,7 +93,7 @@ echo "== stage 2b: frontend golden-diagnostic suite (release) =="
 # file; the ParserFuzz suites carry the fuzz label and additionally run
 # under ASan+UBSan in stage 4.
 ctest --test-dir build --output-on-failure -j "$jobs" \
-  -R 'GoldenDiag|LexerSpans|DiagnosticSpans|ErrorCap|Rendering|LegacyShim|RoundTrip\.|LintSoundness'
+  -R 'GoldenDiag|LexerSpans|DiagnosticSpans|ErrorCap|Rendering|RoundTrip\.|LintSoundness'
 
 echo "== stage 5a: storage-engine perf gates (release) =="
 # Also part of the stage-1 full ctest; re-run by name so a storage

@@ -70,7 +70,6 @@ void printStatsJson(std::ostream& os, size_t query, bool reachable,
      << ", \"simplifiedConstraints\": " << s.simplifiedConstraints
      << ", \"elidedVars\": " << s.elidedVars
      << ", \"unifiedClocks\": " << s.unifiedClocks
-     << ", \"composedProcesses\": " << s.composedProcesses
      << ", \"optSeconds\": " << s.optSeconds
      << ", \"perThreadExplored\": [";
   for (size_t i = 0; i < s.perThreadExplored.size(); ++i) {
@@ -95,7 +94,6 @@ std::string passSummary(const engine::Stats& s) {
   item(s.simplifiedConstraints, "simplified", "constraint");
   item(s.elidedVars, "elided", "var");
   item(s.unifiedClocks, "unified", "clock");
-  item(s.composedProcesses, "composed", "process pair");
   return out.str();
 }
 

@@ -72,9 +72,7 @@ void BestFirst::setHeuristicTargets(
 BestFirstResult BestFirst::run(const Goal& goal) {
   // Pre-exploration optimization: delegate to an inner search over the
   // optimized system. Heuristic targets are pinned so the
-  // remaining-time analysis keeps its anchors; composition is vetoed
-  // under soft guides, whose penalties match per-edge labels that
-  // fusion would concatenate.
+  // remaining-time analysis keeps its anchors.
   double optSeconds = 0.0;
   if (opts_.optLevel > 0) {
     std::vector<std::pair<ta::ProcId, ta::LocId>> targetPins;
@@ -85,21 +83,18 @@ BestFirstResult BestFirst::run(const Goal& goal) {
         }
       }
     }
-    ta::OptimizedModel model = opt_bridge::optimizeForGoal(
-        sys_, goal, opts_.optLevel,
-        /*allowCompose=*/opts_.softGuides.empty(), targetPins);
+    ta::OptimizedModel model =
+        opt_bridge::optimizeForGoal(sys_, goal, opts_.optLevel, targetPins);
     auto res = search::runOptimized(
         sys_, goal, opts_, model, &optSeconds,
         [&](const Options& inner, const Goal& g) {
           BestFirst engine(model.system(), inner, model.mapClock(costClock_));
           if (targetsSet_) {
-            std::vector<std::vector<ta::LocId>> mapped(
-                model.system().numAutomata());
+            std::vector<std::vector<ta::LocId>> mapped(targets_.size());
             for (size_t p = 0; p < targets_.size(); ++p) {
               for (const ta::LocId l : targets_[p]) {
-                mapped[static_cast<size_t>(
-                           model.mapProc(static_cast<ta::ProcId>(p)))]
-                    .push_back(model.mapLoc(static_cast<ta::ProcId>(p), l));
+                mapped[p].push_back(
+                    model.mapLoc(static_cast<ta::ProcId>(p), l));
               }
             }
             engine.setHeuristicTargets(std::move(mapped));

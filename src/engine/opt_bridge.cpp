@@ -7,7 +7,7 @@
 namespace engine::opt_bridge {
 
 ta::OptimizedModel optimizeForGoal(
-    const ta::System& sys, const Goal& goal, int optLevel, bool allowCompose,
+    const ta::System& sys, const Goal& goal, int optLevel,
     const std::vector<std::pair<ta::ProcId, ta::LocId>>&
         extraPinnedLocations) {
   // Lifted mid-run starts (System::setClockInit) are exempt from the
@@ -16,15 +16,12 @@ ta::OptimizedModel optimizeForGoal(
   // Returning the unchanged model keeps every engine on the original
   // system, exactly as at optLevel 0.
   if (sys.hasNonzeroClockInit()) return {};
-  ta::PassConfig cfg = ta::PassConfig::forLevel(optLevel);
-  if (!allowCompose) cfg.compose = false;
 
   ta::OptPins pins;
   pins.locations = goal.locations;
   pins.locations.insert(pins.locations.end(), extraPinnedLocations.begin(),
                         extraPinnedLocations.end());
   pins.clockConstraints = goal.clockConstraints;
-  pins.deadlockGoal = goal.deadlock;
   if (goal.predicate != ta::kNoExpr) {
     std::vector<uint8_t> read(sys.numVars(), 0);
     ta::collectExprReads(sys.pool(), goal.predicate, read);
@@ -32,7 +29,7 @@ ta::OptimizedModel optimizeForGoal(
       if (read[static_cast<size_t>(v)] != 0) pins.vars.push_back(v);
     }
   }
-  return ta::optimizeModel(sys, pins, cfg);
+  return ta::optimizeModel(sys, pins, ta::PassConfig::forLevel(optLevel));
 }
 
 Goal mapGoal(const ta::System& orig, const Goal& goal,
@@ -41,7 +38,7 @@ Goal mapGoal(const ta::System& orig, const Goal& goal,
   g.deadlock = goal.deadlock;
   g.locations.reserve(goal.locations.size());
   for (const auto& [p, l] : goal.locations) {
-    g.locations.push_back({model.mapProc(p), model.mapLoc(p, l)});
+    g.locations.push_back({p, model.mapLoc(p, l)});
   }
   g.predicate = model.mapExpr(orig.pool(), goal.predicate);
   g.clockConstraints.reserve(goal.clockConstraints.size());
@@ -69,13 +66,9 @@ SymbolicTrace backMapTrace(const ta::System& orig,
   out.steps.push_back(TraceStep{Transition{}, SymbolicState{cur, prev}});
 
   for (size_t k = 1; k < opt.steps.size(); ++k) {
-    // Expand each optimized part through its origins: a fused private
-    // handshake becomes its original sender + receiver pair.
     Transition via;
     for (const TransitionPart& part : opt.steps[k].via.parts) {
-      for (const ta::IrOrigin& o : model.originOf(part.proc, part.edge)) {
-        via.parts.push_back({o.proc, o.edge});
-      }
+      via.parts.push_back({part.proc, model.originOf(part.proc, part.edge)});
     }
 
     // Exact forward zone, in the style of the concretizer's forward
@@ -128,7 +121,6 @@ void mergePassStats(Stats& st, const ta::PassStats& ps) {
   st.simplifiedConstraints += ps.simplifiedConstraints;
   st.elidedVars += ps.elidedVars;
   st.unifiedClocks += ps.unifiedClocks;
-  st.composedProcesses += ps.composedProcesses;
   st.optSeconds += ps.seconds;
 }
 

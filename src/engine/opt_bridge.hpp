@@ -20,14 +20,11 @@
 
 namespace engine::opt_bridge {
 
-/// Run the pass pipeline for one goal. `allowCompose` lets the
-/// best-first engine veto pairwise composition when soft guides are
-/// active (penalties match per-edge labels, which fusion concatenates);
-/// `extraPinnedLocations` pins heuristic-target locations so the
-/// remaining-time analysis keeps its anchors.
+/// Run the pass pipeline for one goal. `extraPinnedLocations` pins
+/// heuristic-target locations so the remaining-time analysis keeps its
+/// anchors.
 [[nodiscard]] ta::OptimizedModel optimizeForGoal(
     const ta::System& sys, const Goal& goal, int optLevel,
-    bool allowCompose = true,
     const std::vector<std::pair<ta::ProcId, ta::LocId>>& extraPinnedLocations =
         {});
 
@@ -36,11 +33,10 @@ namespace engine::opt_bridge {
 [[nodiscard]] Goal mapGoal(const ta::System& orig, const Goal& goal,
                            ta::OptimizedModel& model);
 
-/// Re-express an optimized-system trace on the original system: expand
-/// each transition part through its edge origins (sender first for
-/// fused pairs), replay the original discrete semantics for the
-/// location vectors and variable valuations, and rebuild exact forward
-/// zones in the original clock space.
+/// Re-express an optimized-system trace on the original system: map
+/// each transition part to its original edge, replay the original
+/// discrete semantics for the location vectors and variable valuations,
+/// and rebuild exact forward zones in the original clock space.
 [[nodiscard]] SymbolicTrace backMapTrace(const ta::System& orig,
                                          const ta::OptimizedModel& model,
                                          const SymbolicTrace& opt);

@@ -115,10 +115,12 @@ struct Options {
 
   /// Worker threads. 1 = the sequential engines; > 1 selects a
   /// parallel explorer: level-synchronous BFS (chunked frontier queue +
-  /// sharded passed store) for kBfs, work-stealing DFS (per-worker
-  /// task stacks, oldest-frame stealing, shared sharded passed store)
-  /// for the depth-first orders. Verdicts match the sequential engine;
-  /// see DESIGN.md "Parallel explorer".
+  /// sharded passed store) for kBfs, work-stealing DFS for the
+  /// depth-first orders (per-worker frame stacks over a shared sharded
+  /// passed store; all workers but the last follow the deepest pending
+  /// frame of any stack, and the last scouts on its own dive, stealing
+  /// the oldest frame when its stack runs dry). Verdicts match the
+  /// sequential engine; see DESIGN.md "Parallel explorer".
   size_t threads = 1;
 
   /// log2 of the number of passed-store shards in parallel mode.
@@ -142,10 +144,9 @@ struct Options {
   /// Pre-exploration model optimization (ta/ir.hpp pass pipeline).
   /// 0 = explore the model exactly as built; 1 = constant folding,
   /// dead-location/edge elimination, guard simplification; 2 = all of
-  /// the above plus dead-store elision, clock unification, and pairwise
-  /// composition. Verdicts and witness traces are unchanged at every
-  /// level (traces are mapped back onto the original model); only
-  /// search effort differs.
+  /// the above plus dead-store elision and clock unification. Verdicts
+  /// and witness traces are unchanged at every level (traces are mapped
+  /// back onto the original model); only search effort differs.
   int optLevel = 2;
 
   // -- Cut-offs: a run exceeding any of these aborts with the matching

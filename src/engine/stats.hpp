@@ -60,7 +60,6 @@ struct Stats {
   size_t simplifiedConstraints = 0;  ///< invariant-implied guard conjuncts
   size_t elidedVars = 0;             ///< variables whose stores were elided
   size_t unifiedClocks = 0;          ///< clocks merged into a representative
-  size_t composedProcesses = 0;      ///< automata pairs fused into products
   double optSeconds = 0.0;           ///< wall time spent in the optimizer
 
   // -- DBM kernel dispatch (process-wide deltas over the search) --------

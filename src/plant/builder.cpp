@@ -15,6 +15,7 @@
 #include "plant/plant.hpp"
 
 #include <cassert>
+#include <iterator>
 #include <string>
 
 namespace plant {
@@ -31,6 +32,15 @@ using ta::ProcId;
 using ta::VarId;
 
 std::string num(int32_t v) { return std::to_string(v); }
+
+/// Some stage of recipe `q` treats on a machine of `m`'s type: only
+/// then do batch and recipe handshake on `m`'s on/off channels.
+bool usesMachine(const Quality& q, const MachineInfo& m) {
+  for (const Stage& st : q) {
+    if (st.type == m.type) return true;
+  }
+  return false;
+}
 
 class Builder {
  public:
@@ -110,11 +120,17 @@ class Builder {
       outcast_.push_back(sys().addChannel("outcast" + num(b)));
       castdone_.push_back(sys().addChannel("castdone" + num(b)));
       dump_.push_back(sys().addChannel("dump" + num(b)));
-      for (int32_t m = 0; m < 5; ++m) {
-        chOn_[static_cast<size_t>(b)].push_back(
-            sys().addChannel("m" + num(m + 1) + "on" + num(b)));
-        chOff_[static_cast<size_t>(b)].push_back(
-            sys().addChannel("m" + num(m + 1) + "off" + num(b)));
+      // Machines outside this batch's recipe get no channel (-1).
+      auto& on = chOn_[static_cast<size_t>(b)];
+      auto& off = chOff_[static_cast<size_t>(b)];
+      on.assign(std::size(kMachines), -1);
+      off.assign(std::size(kMachines), -1);
+      for (const MachineInfo& m : kMachines) {
+        if (!usesMachine(cfg_.order[static_cast<size_t>(b)], m)) continue;
+        on[static_cast<size_t>(m.id - 1)] =
+            sys().addChannel("m" + num(m.id) + "on" + num(b));
+        off[static_cast<size_t>(m.id - 1)] =
+            sys().addChannel("m" + num(m.id) + "off" + num(b));
       }
     }
     for (int32_t c = 0; c < kNumCranes; ++c) {
@@ -627,9 +643,7 @@ class Builder {
 
     // -- Machine treatment: handshake with the recipe. ------------------
     for (const MachineInfo& m : kMachines) {
-      bool used = false;
-      for (const Stage& st : q) used = used || st.type == m.type;
-      if (!used) continue;
+      if (!usesMachine(q, m)) continue;
       const LocId slotLoc = m.track == 1 ? at1[static_cast<size_t>(m.slot)]
                                          : at2[static_cast<size_t>(m.slot)];
       const LocId busy = a.addLocation("busy_m" + num(m.id));

@@ -39,8 +39,8 @@ ExprRef copyExpr(const ExprPool& src, ExprRef e, ExprPool& dst) {
   }
 }
 
-/// Composition concatenates names with '_', which can collide with an
-/// existing identifier; the printer round-trip needs uniqueness.
+/// System does not reject duplicate process or location names, but the
+/// printer round trip needs them unique: suffix repeats with '_k'.
 std::string uniqueName(std::string base, std::set<std::string>& used) {
   if (base.empty()) base = "s";
   std::string name = base;
@@ -73,7 +73,6 @@ Ir Ir::lower(const System& sys, const OptPins& pins) {
     IrProcess ip;
     ip.name = a.name();
     ip.init = a.initial();
-    ip.origProcs = {p};
     for (size_t l = 0; l < a.numLocations(); ++l) {
       const Location& loc = a.location(static_cast<LocId>(l));
       ip.locs.push_back(
@@ -91,7 +90,7 @@ Ir Ir::lower(const System& sys, const OptPins& pins) {
       ie.resets = e.resets;
       ie.assigns = e.assigns;
       ie.label = e.label;
-      ie.origin = {{p, static_cast<int32_t>(ei)}};
+      ie.origin = static_cast<int32_t>(ei);
       ip.edges.push_back(std::move(ie));
     }
     ir.procs.push_back(std::move(ip));
@@ -101,10 +100,8 @@ Ir Ir::lower(const System& sys, const OptPins& pins) {
   for (size_t c = 0; c < ir.clockRep.size(); ++c) {
     ir.clockRep[c] = static_cast<ClockId>(c);
   }
-  ir.procOf.resize(ir.procs.size());
   ir.locOf.resize(ir.procs.size());
   for (size_t p = 0; p < ir.procs.size(); ++p) {
-    ir.procOf[p] = static_cast<int32_t>(p);
     ir.locOf[p].resize(ir.procs[p].locs.size());
     for (size_t l = 0; l < ir.locOf[p].size(); ++l) {
       ir.locOf[p][l] = static_cast<LocId>(l);
@@ -115,12 +112,7 @@ Ir Ir::lower(const System& sys, const OptPins& pins) {
   for (const auto& [p, l] : pins.locations) {
     ir.procs[static_cast<size_t>(p)].locs[static_cast<size_t>(l)].pinned =
         true;
-    ir.procs[static_cast<size_t>(p)].pinned = true;
   }
-  for (const ProcId p : pins.processes) {
-    ir.procs[static_cast<size_t>(p)].pinned = true;
-  }
-  ir.source = &sys;
   return ir;
 }
 
@@ -279,7 +271,7 @@ OptimizedModel optimizeModel(const System& sys, const OptPins& pins,
   OptimizedModel out;
   const bool anyEnabled = cfg.constFold || cfg.removeDead ||
                           cfg.simplifyGuards || cfg.deadStores ||
-                          cfg.unifyClocks || cfg.compose;
+                          cfg.unifyClocks;
   if (!anyEnabled) return out;
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -296,14 +288,12 @@ OptimizedModel optimizeModel(const System& sys, const OptPins& pins,
     if (cfg.simplifyGuards) changed |= passSimplifyGuards(ir, st);
     if (cfg.deadStores) changed |= passDropDeadStores(ir, pins, st);
     if (cfg.unifyClocks) changed |= passUnifyClocks(ir, pins, st);
-    if (cfg.compose) changed |= passComposePairs(ir, pins, st);
     if (!changed) break;
   }
 
   if (st.any()) {
     out.changed_ = true;
     emitSystem(ir, out.sys_, out.clockMap_);
-    out.procMap_.assign(ir.procOf.begin(), ir.procOf.end());
     out.locMap_ = ir.locOf;
     out.origins_.resize(ir.procs.size());
     for (size_t p = 0; p < ir.procs.size(); ++p) {

@@ -10,8 +10,12 @@
 //   forward  — remap a reachability goal (locations, predicate, clock
 //              constraints) onto the optimized system;
 //   backward — remap a witness trace's transitions onto the original
-//              system's (process, edge) pairs so concretization and
-//              validation run against the model the caller built.
+//              system's edges so concretization and validation run
+//              against the model the caller built.
+//
+// No pass renumbers processes: optimized process p is original process
+// p, and every optimized edge stands for exactly one original edge of
+// the same process.
 //
 // Everything here is per-run and goal-dependent (the pins), so the
 // optimizer is invoked lazily by Reachability::run / BestFirst::run
@@ -27,14 +31,6 @@
 
 namespace ta {
 
-/// Provenance of one optimized edge: the original (process, edge)
-/// pair(s) it stands for — two entries when composition fused a binary
-/// synchronization (sender first), one otherwise.
-struct IrOrigin {
-  ProcId proc = 0;
-  int32_t edge = 0;
-};
-
 struct IrEdge {
   LocId src = 0;
   LocId dst = 0;
@@ -45,7 +41,7 @@ struct IrEdge {
   std::vector<ClockReset> resets;
   std::vector<Assign> assigns;  ///< exprs in Ir::pool
   std::string label;
-  std::vector<IrOrigin> origin;
+  int32_t origin = 0;  ///< index of the original edge in the same process
 };
 
 struct IrLocation {
@@ -64,29 +60,22 @@ struct IrProcess {
   std::vector<IrLocation> locs;
   std::vector<IrEdge> edges;
   LocId init = 0;
-  std::vector<ProcId> origProcs;  ///< >1 after composition
-  bool pinned = false;            ///< may not be composed away
 };
 
 /// What one specific reachability run needs preserved. Everything else
 /// is fair game for the passes.
 struct OptPins {
-  /// Goal and heuristic-target locations (kept even if unreachable;
-  /// their processes are implicitly composition-pinned).
+  /// Goal and heuristic-target locations (kept even if unreachable).
   std::vector<std::pair<ProcId, LocId>> locations;
-  /// Processes that may not be composed (beyond those of `locations`).
-  std::vector<ProcId> processes;
   /// Variables the goal predicate reads: their stores stay.
   std::vector<VarId> vars;
   /// Clock constraints of the goal: unification must keep them
   /// satisfiable-representable (degenerate-unsat pairs are not merged).
   std::vector<ClockConstraint> clockConstraints;
-  /// Deadlock goals disable composition (conservative).
-  bool deadlockGoal = false;
 };
 
 /// The mutable optimization IR plus the running orig→current maps the
-/// passes keep consistent as they renumber.
+/// passes keep consistent as they renumber locations and clocks.
 struct Ir {
   ExprPool pool;
   std::vector<IrProcess> procs;
@@ -104,16 +93,12 @@ struct Ir {
   /// Cumulative unification: original clock -> representative original
   /// clock (identity at lowering; index 0 stays 0).
   std::vector<ClockId> clockRep;
-  /// Original process -> current IR process index.
-  std::vector<int32_t> procOf;
   /// Original (process, location) -> current IR location (-1 once the
-  /// location was removed or its process composed away).
+  /// location was removed).
   std::vector<std::vector<LocId>> locOf;
   /// Variables already counted by PassStats::elidedVars (the dead-store
   /// pass cascades over iterations; each var is reported once).
   std::vector<uint8_t> elidedSeen;
-
-  const System* source = nullptr;
 
   [[nodiscard]] static Ir lower(const System& sys, const OptPins& pins);
 
@@ -132,13 +117,10 @@ class OptimizedModel {
   [[nodiscard]] const System& system() const noexcept { return sys_; }
   [[nodiscard]] const PassStats& stats() const noexcept { return stats_; }
 
-  // -- Forward maps (original -> optimized) ------------------------------
+  // -- Forward maps (original -> optimized; processes keep their ids) ----
 
-  [[nodiscard]] ProcId mapProc(ProcId p) const {
-    return procMap_[static_cast<size_t>(p)];
-  }
   /// Valid for pinned locations and every location that survived; -1
-  /// for removed/composed locations (never the case for goal pins).
+  /// for removed locations (never the case for goal pins).
   [[nodiscard]] LocId mapLoc(ProcId p, LocId l) const {
     return locMap_[static_cast<size_t>(p)][static_cast<size_t>(l)];
   }
@@ -155,10 +137,9 @@ class OptimizedModel {
   /// system's pool, applying the final constant-variable substitution.
   [[nodiscard]] ExprRef mapExpr(const ExprPool& srcPool, ExprRef e);
 
-  // -- Backward map (optimized transition part -> original parts) --------
+  // -- Backward map (optimized edge -> original edge of process p) -------
 
-  [[nodiscard]] const std::vector<IrOrigin>& originOf(ProcId p,
-                                                      int32_t edge) const {
+  [[nodiscard]] int32_t originOf(ProcId p, int32_t edge) const {
     return origins_[static_cast<size_t>(p)][static_cast<size_t>(edge)];
   }
 
@@ -169,10 +150,9 @@ class OptimizedModel {
   System sys_;
   PassStats stats_;
   bool changed_ = false;
-  std::vector<ProcId> procMap_;
   std::vector<std::vector<LocId>> locMap_;
   std::vector<ClockId> clockMap_;  ///< [c] for original clock c (index 0 = 0)
-  std::vector<std::vector<std::vector<IrOrigin>>> origins_;
+  std::vector<std::vector<int32_t>> origins_;
   /// Final constant-variable substitution (for goal-predicate mapping).
   std::vector<uint8_t> varIsConst_;
   std::vector<int32_t> varConstVal_;

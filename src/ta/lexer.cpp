@@ -110,9 +110,9 @@ void Lexer::advance() {
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {
       const size_t start = pos_;
-      // Accumulate with an explicit overflow clamp: the old
-      // std::stoll-based literal scan threw std::out_of_range straight
-      // through parseModel on inputs like 99999999999999999999.
+      // Accumulate with an explicit overflow clamp: a std::stoll-based
+      // scan would throw std::out_of_range out of the parser on inputs
+      // like 99999999999999999999.
       int64_t v = 0;
       bool overflow = false;
       while (pos_ < text_.size() &&

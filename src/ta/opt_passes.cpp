@@ -427,11 +427,8 @@ bool passRemoveDeadLocations(Ir& ir, PassStats& st) {
     }
 
     // Keep the original-location map current.
-    for (size_t op = 0; op < ir.locOf.size(); ++op) {
-      if (ir.procOf[op] != static_cast<int32_t>(ip)) continue;
-      for (LocId& l : ir.locOf[op]) {
-        if (l >= 0) l = remap[static_cast<size_t>(l)];
-      }
+    for (LocId& l : ir.locOf[ip]) {
+      if (l >= 0) l = remap[static_cast<size_t>(l)];
     }
   }
   return changed;
@@ -752,256 +749,6 @@ bool passUnifyClocks(Ir& ir, const OptPins& pins, PassStats& st) {
   for (ClockId& r : ir.clockRep) r = rep[static_cast<size_t>(r)];
   st.unifiedClocks += merged;
   return true;
-}
-
-// ------------------------------------------------------------------------
-// Pass 6: composition of trivially-sequential automata pairs.
-// ------------------------------------------------------------------------
-
-namespace {
-
-constexpr size_t kMaxProductLocs = 64;
-constexpr size_t kMaxProductEdges = 400;
-
-struct PairPlan {
-  std::vector<uint8_t> privateChan;  ///< per channel: only {i, j} touch it
-  size_t fusions = 0;
-  bool viable = false;
-};
-
-PairPlan planPair(const Ir& ir, size_t i, size_t j) {
-  PairPlan plan;
-  const IrProcess& a = ir.procs[i];
-  const IrProcess& b = ir.procs[j];
-  if (a.pinned || b.pinned) return plan;
-  for (const IrProcess* p : {&a, &b}) {
-    for (const IrLocation& l : p->locs) {
-      if (l.committed) return plan;  // committed product semantics differ
-    }
-    for (const IrEdge& e : p->edges) {
-      if (e.sync != Sync::kNone &&
-          ir.chanKinds[static_cast<size_t>(e.chan)] == ChanKind::kBroadcast) {
-        return plan;  // receiver-multiplicity semantics; keep apart
-      }
-    }
-  }
-  if (a.locs.size() * b.locs.size() > kMaxProductLocs) return plan;
-
-  // A channel is pair-private when no other process touches it.
-  plan.privateChan.assign(ir.chanNames.size(), 1);
-  for (size_t ip = 0; ip < ir.procs.size(); ++ip) {
-    if (ip == i || ip == j) continue;
-    for (const IrEdge& e : ir.procs[ip].edges) {
-      if (e.sync != Sync::kNone) {
-        plan.privateChan[static_cast<size_t>(e.chan)] = 0;
-      }
-    }
-  }
-
-  // On a shared (non-private) binary channel the two members must not
-  // form a send/receive pair: fused into one process, the engine could
-  // no longer pair them and the transition would be lost.
-  const auto uses = [&](const IrProcess& p, ChanId c, Sync s) {
-    for (const IrEdge& e : p.edges) {
-      if (e.sync == s && e.chan == c) return true;
-    }
-    return false;
-  };
-  size_t nonPrivEdges = 0;
-  for (const IrProcess* p : {&a, &b}) {
-    for (const IrEdge& e : p->edges) {
-      if (e.sync == Sync::kNone ||
-          plan.privateChan[static_cast<size_t>(e.chan)] == 0) {
-        ++nonPrivEdges;
-      }
-    }
-  }
-  for (ChanId c = 0; c < static_cast<ChanId>(ir.chanNames.size()); ++c) {
-    if (plan.privateChan[static_cast<size_t>(c)] != 0) continue;
-    if ((uses(a, c, Sync::kSend) && uses(b, c, Sync::kReceive)) ||
-        (uses(b, c, Sync::kSend) && uses(a, c, Sync::kReceive))) {
-      return plan;
-    }
-  }
-
-  // Count the fusions; composing is only worth it (and only "trivially
-  // sequential") when at least one private handshake exists.
-  for (ChanId c = 0; c < static_cast<ChanId>(ir.chanNames.size()); ++c) {
-    if (plan.privateChan[static_cast<size_t>(c)] == 0) continue;
-    size_t sendsA = 0;
-    size_t recvA = 0;
-    size_t sendsB = 0;
-    size_t recvB = 0;
-    for (const IrEdge& e : a.edges) {
-      if (e.chan != c) continue;
-      if (e.sync == Sync::kSend) ++sendsA;
-      if (e.sync == Sync::kReceive) ++recvA;
-    }
-    for (const IrEdge& e : b.edges) {
-      if (e.chan != c) continue;
-      if (e.sync == Sync::kSend) ++sendsB;
-      if (e.sync == Sync::kReceive) ++recvB;
-    }
-    plan.fusions += sendsA * recvB + sendsB * recvA;
-  }
-  if (plan.fusions == 0) return plan;
-
-  const size_t estEdges = nonPrivEdges == 0
-                              ? plan.fusions
-                              : a.edges.size() * b.locs.size() +
-                                    b.edges.size() * a.locs.size() +
-                                    plan.fusions;
-  if (estEdges > kMaxProductEdges) return plan;
-  plan.viable = true;
-  return plan;
-}
-
-}  // namespace
-
-bool passComposePairs(Ir& ir, const OptPins& pins, PassStats& st) {
-  if (pins.deadlockGoal) return false;
-  for (size_t i = 0; i < ir.procs.size(); ++i) {
-    for (size_t j = i + 1; j < ir.procs.size(); ++j) {
-      const PairPlan plan = planPair(ir, i, j);
-      if (!plan.viable) continue;
-
-      const IrProcess& a = ir.procs[i];
-      const IrProcess& b = ir.procs[j];
-      const size_t nb = b.locs.size();
-      const auto prod = [&](LocId u, LocId v) {
-        return static_cast<LocId>(static_cast<size_t>(u) * nb +
-                                  static_cast<size_t>(v));
-      };
-
-      IrProcess out;
-      out.name = a.name + "_" + b.name;
-      out.origProcs = a.origProcs;
-      out.origProcs.insert(out.origProcs.end(), b.origProcs.begin(),
-                           b.origProcs.end());
-      out.init = prod(a.init, b.init);
-      for (const IrLocation& u : a.locs) {
-        for (const IrLocation& v : b.locs) {
-          IrLocation l;
-          l.name = u.name + "_" + v.name;
-          l.urgent = u.urgent || v.urgent;
-          l.invariant = u.invariant;
-          l.invariant.insert(l.invariant.end(), v.invariant.begin(),
-                             v.invariant.end());
-          out.locs.push_back(std::move(l));
-        }
-      }
-
-      // Solo moves: every non-private edge of one member interleaves
-      // with every location of the other. Edges on private channels
-      // either fuse below or can never fire (their only possible
-      // partner now lives in the same process) and are dropped.
-      const auto isPriv = [&](const IrEdge& e) {
-        return e.sync != Sync::kNone &&
-               plan.privateChan[static_cast<size_t>(e.chan)] != 0;
-      };
-      size_t droppedPrivate = 0;
-      for (const IrEdge& e : a.edges) {
-        if (isPriv(e)) continue;
-        for (LocId v = 0; v < static_cast<LocId>(nb); ++v) {
-          IrEdge ne = e;
-          ne.src = prod(e.src, v);
-          ne.dst = prod(e.dst, v);
-          out.edges.push_back(std::move(ne));
-        }
-      }
-      for (const IrEdge& e : b.edges) {
-        if (isPriv(e)) continue;
-        for (LocId u = 0; u < static_cast<LocId>(a.locs.size()); ++u) {
-          IrEdge ne = e;
-          ne.src = prod(u, e.src);
-          ne.dst = prod(u, e.dst);
-          out.edges.push_back(std::move(ne));
-        }
-      }
-      // Fused handshakes: guard and clock guard conjoined (both
-      // evaluated against the pre-transition state, exactly like the
-      // engine's binary pairing), effects sender-first (the engine's
-      // and the validator's order).
-      const auto fuse = [&](const IrEdge& snd, const IrEdge& rcv,
-                            bool aSends) {
-        IrEdge ne;
-        ne.src = aSends ? prod(snd.src, rcv.src) : prod(rcv.src, snd.src);
-        ne.dst = aSends ? prod(snd.dst, rcv.dst) : prod(rcv.dst, snd.dst);
-        ne.clockGuard = snd.clockGuard;
-        ne.clockGuard.insert(ne.clockGuard.end(), rcv.clockGuard.begin(),
-                             rcv.clockGuard.end());
-        if (snd.guard == kNoExpr) {
-          ne.guard = rcv.guard;
-        } else if (rcv.guard == kNoExpr) {
-          ne.guard = snd.guard;
-        } else {
-          ne.guard = ir.pool.binary(Op::kAnd, snd.guard, rcv.guard);
-        }
-        ne.resets = snd.resets;
-        ne.resets.insert(ne.resets.end(), rcv.resets.begin(),
-                         rcv.resets.end());
-        ne.assigns = snd.assigns;
-        ne.assigns.insert(ne.assigns.end(), rcv.assigns.begin(),
-                          rcv.assigns.end());
-        const std::string& cn = ir.chanNames[static_cast<size_t>(snd.chan)];
-        ne.label = (snd.label.empty() ? cn + "!" : snd.label) + "/" +
-                   (rcv.label.empty() ? cn + "?" : rcv.label);
-        ne.origin = snd.origin;
-        ne.origin.insert(ne.origin.end(), rcv.origin.begin(),
-                         rcv.origin.end());
-        out.edges.push_back(std::move(ne));
-      };
-      for (const IrEdge& ea : a.edges) {
-        if (!isPriv(ea)) continue;
-        bool fused = false;
-        for (const IrEdge& eb : b.edges) {
-          if (eb.chan != ea.chan) continue;
-          if (ea.sync == Sync::kSend && eb.sync == Sync::kReceive) {
-            fuse(ea, eb, /*aSends=*/true);
-            fused = true;
-          } else if (ea.sync == Sync::kReceive && eb.sync == Sync::kSend) {
-            fuse(eb, ea, /*aSends=*/false);
-            fused = true;
-          }
-        }
-        if (!fused) ++droppedPrivate;
-      }
-      for (const IrEdge& eb : b.edges) {
-        if (!isPriv(eb)) continue;
-        bool partnered = false;
-        for (const IrEdge& ea : a.edges) {
-          if (ea.chan == eb.chan && ea.sync != eb.sync && isPriv(ea)) {
-            partnered = true;
-            break;
-          }
-        }
-        if (!partnered) ++droppedPrivate;
-      }
-      st.removedEdges += droppedPrivate;
-
-      // Splice: product replaces member i, member j disappears.
-      for (size_t op = 0; op < ir.procOf.size(); ++op) {
-        if (ir.procOf[op] == static_cast<int32_t>(j)) {
-          ir.procOf[op] = static_cast<int32_t>(i);
-          std::fill(ir.locOf[op].begin(), ir.locOf[op].end(), -1);
-        } else if (ir.procOf[op] > static_cast<int32_t>(j)) {
-          --ir.procOf[op];
-        }
-        if (ir.procOf[op] == static_cast<int32_t>(i)) {
-          // Component locations of the product are no longer
-          // individually addressable.
-          std::fill(ir.locOf[op].begin(), ir.locOf[op].end(), -1);
-        }
-      }
-      ir.procs[i] = std::move(out);
-      ir.procs.erase(ir.procs.begin() + static_cast<std::ptrdiff_t>(j));
-      ++st.composedProcesses;
-      // One fusion per round keeps the index bookkeeping simple; the
-      // fixpoint loop supplies further rounds.
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace ta

@@ -75,7 +75,6 @@ struct PassConfig {
   bool simplifyGuards = true; ///< drop invariant-implied guard conjuncts
   bool deadStores = false;    ///< drop assignments to never-read variables
   bool unifyClocks = false;   ///< collapse always-equal clocks
-  bool compose = false;       ///< fuse trivially-sequential automata pairs
   int maxIterations = 8;      ///< fixpoint safety bound
 
   /// Options.optLevel mapping: 0 = everything off (the caller skips the
@@ -88,7 +87,7 @@ struct PassConfig {
       return c;
     }
     if (level >= 2) {
-      c.deadStores = c.unifyClocks = c.compose = true;
+      c.deadStores = c.unifyClocks = true;
     }
     return c;
   }
@@ -102,14 +101,12 @@ struct PassStats {
   size_t simplifiedConstraints = 0; ///< implied guard conjuncts dropped
   size_t elidedVars = 0;            ///< variables whose stores were elided
   size_t unifiedClocks = 0;         ///< clocks merged into a representative
-  size_t composedProcesses = 0;     ///< process pairs fused into a product
   int iterations = 0;               ///< fixpoint rounds until quiescence
   double seconds = 0.0;             ///< wall time spent optimizing
 
   [[nodiscard]] bool any() const noexcept {
     return foldedExprs + removedLocations + removedEdges +
-               simplifiedConstraints + elidedVars + unifiedClocks +
-               composedProcesses !=
+               simplifiedConstraints + elidedVars + unifiedClocks !=
            0;
   }
 };
@@ -123,7 +120,6 @@ bool passRemoveDeadLocations(Ir& ir, PassStats& st);
 bool passSimplifyGuards(Ir& ir, PassStats& st);
 bool passDropDeadStores(Ir& ir, const OptPins& pins, PassStats& st);
 bool passUnifyClocks(Ir& ir, const OptPins& pins, PassStats& st);
-bool passComposePairs(Ir& ir, const OptPins& pins, PassStats& st);
 
 /// Constant-fold `e` (written into `pool`, which may be the node's own
 /// pool — the arena is append-only). `isConst`/`constVal` give the

@@ -782,22 +782,4 @@ FrontendResult parseModelEx(const std::string& text,
   return result;
 }
 
-std::optional<ParseResult> parseModel(const std::string& text,
-                                      std::string* error) {
-  FrontendOptions opts;
-  opts.lint = false;
-  FrontendResult r = parseModelEx(text, opts);
-  if (!r.ok) {
-    if (error != nullptr) {
-      for (const Diagnostic& d : r.diagnostics) {
-        if (d.severity != Severity::kError) continue;
-        *error = "line " + std::to_string(d.span.line) + ": " + d.message;
-        break;
-      }
-    }
-    return std::nullopt;
-  }
-  return ParseResult{std::move(r.system), std::move(r.queries)};
-}
-
 }  // namespace ta

@@ -37,13 +37,10 @@
 // synchronizes at declaration / process-item / edge-item boundaries
 // and emits *multiple* structured diagnostics per run
 // (ta/diagnostics.hpp), and a static-analysis pass suite over the
-// parsed model (ta/lint.hpp). `parseModelEx` is the full pipeline;
-// `parseModel` is the legacy single-error wrapper kept for existing
-// call sites.
+// parsed model (ta/lint.hpp). `parseModelEx` is the full pipeline.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,11 +55,6 @@ struct ParsedQuery {
   std::vector<std::pair<ProcId, LocId>> locations;
   ExprRef predicate = kNoExpr;
   std::vector<ClockConstraint> clockConstraints;
-};
-
-struct ParseResult {
-  std::unique_ptr<System> system;
-  std::vector<ParsedQuery> queries;
 };
 
 /// Source spans for the named entities of a parsed model — the side
@@ -117,12 +109,5 @@ struct FrontendResult {
 /// parse is clean) finalize + lint.
 [[nodiscard]] FrontendResult parseModelEx(const std::string& text,
                                           const FrontendOptions& opts = {});
-
-/// Legacy single-error API: parse a model text. On error returns
-/// nullopt and fills *error with "line N: message" (the first error
-/// diagnostic). The returned system is finalized. Thin wrapper over
-/// parseModelEx with lint disabled.
-[[nodiscard]] std::optional<ParseResult> parseModel(const std::string& text,
-                                                    std::string* error);
 
 }  // namespace ta

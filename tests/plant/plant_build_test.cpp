@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "plant/plant.hpp"
+#include "ta/lint.hpp"
 
 namespace plant {
 namespace {
@@ -49,6 +50,23 @@ TEST(PlantBuild, HandlesAreConsistent) {
   EXPECT_GE(p->monitor, 0);
   EXPECT_TRUE(p->sys.finalized());
   EXPECT_EQ(p->goal.locations.size(), 1u);
+}
+
+TEST(PlantBuild, DeclaresOnlyChannelsSomeEdgeUses) {
+  PlantConfig cfg;
+  cfg.order = standardOrder(15);
+  cfg.guides = GuideLevel::kAll;
+  const auto p = buildPlant(cfg);
+  std::vector<ta::Diagnostic> diags;
+  ta::runLints(p->sys, &diags);
+  size_t unused = 0;
+  for (const ta::Diagnostic& d : diags) {
+    if (d.code == ta::DiagCode::kUnusedChannel &&
+        d.message.find("is never used") != std::string::npos) {
+      ++unused;
+    }
+  }
+  EXPECT_EQ(unused, 0u) << ta::renderDiagnostics(diags);
 }
 
 TEST(PlantBuild, MachineCatalogue) {

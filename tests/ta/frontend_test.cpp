@@ -1,8 +1,7 @@
 // Unit tests for the frontend pipeline pieces the golden corpus can't
 // pin down: exact token spans (line AND column), the
 // report-without-consuming recovery discipline, diagnostic rendering,
-// the error cap, and the legacy parseModel shim's behavior on inputs
-// that crashed or mis-reported before the rewrite.
+// and the error cap.
 #include <string>
 
 #include <gtest/gtest.h>
@@ -60,8 +59,8 @@ TEST(LexerSpans, TwoCharOperatorsAndStrings) {
 }
 
 TEST(LexerSpans, IntegerOverflowClampsWithDiagnostic) {
-  // The old std::stoll-based scanner threw std::out_of_range straight
-  // through parseModel on literals past int64. Now: clamp + P005.
+  // The old std::stoll-based scanner threw std::out_of_range out of
+  // the parser on literals past int64. Now: clamp + P005.
   std::vector<ta::Diagnostic> diags;
   ta::Lexer lex("99999999999999999999", &diags);
   const ta::Token t = lex.next();
@@ -184,38 +183,6 @@ TEST(Rendering, CodeNamesRoundTrip) {
   ta::DiagCode ignore;
   EXPECT_FALSE(ta::diagCodeFromName("P999", &ignore));
   EXPECT_FALSE(ta::diagCodeFromName("", &ignore));
-}
-
-// -- Legacy shim ----------------------------------------------------------
-
-TEST(LegacyShim, FirstErrorWithLinePrefix) {
-  std::string err;
-  EXPECT_FALSE(ta::parseModel("clock x\nint y;", &err).has_value());
-  EXPECT_EQ(err.find("line 2:"), 0u) << err;
-}
-
-TEST(LegacyShim, HugeLiteralNoLongerThrows) {
-  // Regression: this input terminated the old parser with an uncaught
-  // std::out_of_range from std::stoll.
-  std::string err;
-  const auto r =
-      ta::parseModel("clock x;\nprocess P { loc a { inv x <= "
-                     "99999999999999999999; } init a; }",
-                     &err);
-  EXPECT_FALSE(r.has_value());
-  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
-}
-
-TEST(LegacyShim, LintNeverRunsThroughTheShim) {
-  // 'spare' is unused — a lint warning — but the shim's contract is
-  // parse-only: the model must come back clean.
-  std::string err;
-  const auto r = ta::parseModel(
-      "clock x, spare;\n"
-      "process P { loc a; init a; edge a -> a { guard x >= 1; reset x; } }\n",
-      &err);
-  ASSERT_TRUE(r.has_value()) << err;
-  EXPECT_TRUE(r->system->finalized());
 }
 
 }  // namespace

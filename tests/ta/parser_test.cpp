@@ -2,11 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "engine/reachability.hpp"
 #include "engine/trace.hpp"
 
 namespace ta {
 namespace {
+
+FrontendResult parse(const std::string& text) {
+  FrontendOptions opts;
+  opts.lint = false;
+  return parseModelEx(text, opts);
+}
+
+/// The first error diagnostic of a failed parse.
+Diagnostic firstError(const FrontendResult& r) {
+  for (const Diagnostic& d : r.diagnostics) {
+    if (d.severity == Severity::kError) return d;
+  }
+  ADD_FAILURE() << "no error diagnostic";
+  return {};
+}
 
 constexpr const char* kHandshake = R"(
 // worker/listener handshake
@@ -32,29 +50,28 @@ query reach Worker.done && Listener.got && n == 1;
 )";
 
 TEST(Parser, HandshakeParses) {
-  std::string err;
-  const auto r = parseModel(kHandshake, &err);
-  ASSERT_TRUE(r.has_value()) << err;
-  EXPECT_EQ(r->system->numAutomata(), 2u);
-  EXPECT_EQ(r->system->numClocks(), 1u);
-  EXPECT_EQ(r->system->numVars(), 1u);
-  EXPECT_EQ(r->system->numChannels(), 1u);
-  ASSERT_EQ(r->queries.size(), 1u);
-  EXPECT_EQ(r->queries[0].locations.size(), 2u);
-  EXPECT_NE(r->queries[0].predicate, kNoExpr);
-  EXPECT_TRUE(r->system->finalized());
+  const FrontendResult r = parse(kHandshake);
+  ASSERT_TRUE(r.ok) << renderDiagnostics(r.diagnostics);
+  EXPECT_EQ(r.system->numAutomata(), 2u);
+  EXPECT_EQ(r.system->numClocks(), 1u);
+  EXPECT_EQ(r.system->numVars(), 1u);
+  EXPECT_EQ(r.system->numChannels(), 1u);
+  ASSERT_EQ(r.queries.size(), 1u);
+  EXPECT_EQ(r.queries[0].locations.size(), 2u);
+  EXPECT_NE(r.queries[0].predicate, kNoExpr);
+  EXPECT_TRUE(r.system->finalized());
 }
 
 TEST(Parser, ParsedModelChecksLikeHandBuilt) {
-  std::string err;
-  const auto r = parseModel(kHandshake, &err);
-  ASSERT_TRUE(r.has_value()) << err;
-  engine::Goal goal{r->queries[0].locations, r->queries[0].predicate,
-                    r->queries[0].clockConstraints};
-  engine::Reachability checker(*r->system, engine::Options{});
+  const FrontendResult r = parse(kHandshake);
+  ASSERT_TRUE(r.ok) << renderDiagnostics(r.diagnostics);
+  engine::Goal goal{r.queries[0].locations, r.queries[0].predicate,
+                    r.queries[0].clockConstraints};
+  engine::Reachability checker(*r.system, engine::Options{});
   const engine::Result res = checker.run(goal);
   ASSERT_TRUE(res.reachable);
-  const auto ct = engine::concretize(*r->system, res.trace, &err);
+  std::string err;
+  const auto ct = engine::concretize(*r.system, res.trace, &err);
   ASSERT_TRUE(ct.has_value()) << err;
   EXPECT_EQ(ct->makespan(), 3) << "guard x >= 3 forces the delay";
 }
@@ -69,11 +86,10 @@ process P {
 }
 query reach pos[2] == 1;
 )";
-  std::string err;
-  const auto r = parseModel(text, &err);
-  ASSERT_TRUE(r.has_value()) << err;
-  engine::Goal goal{r->queries[0].locations, r->queries[0].predicate, {}};
-  engine::Reachability checker(*r->system, engine::Options{});
+  const FrontendResult r = parse(text);
+  ASSERT_TRUE(r.ok) << renderDiagnostics(r.diagnostics);
+  engine::Goal goal{r.queries[0].locations, r.queries[0].predicate, {}};
+  engine::Reachability checker(*r.system, engine::Options{});
   EXPECT_TRUE(checker.run(goal).reachable);
 }
 
@@ -87,12 +103,11 @@ process P {
 }
 query reach P.b && y >= 7;
 )";
-  std::string err;
-  const auto r = parseModel(text, &err);
-  ASSERT_TRUE(r.has_value()) << err;
-  engine::Goal goal{r->queries[0].locations, r->queries[0].predicate,
-                    r->queries[0].clockConstraints};
-  engine::Reachability checker(*r->system, engine::Options{});
+  const FrontendResult r = parse(text);
+  ASSERT_TRUE(r.ok) << renderDiagnostics(r.diagnostics);
+  engine::Goal goal{r.queries[0].locations, r.queries[0].predicate,
+                    r.queries[0].clockConstraints};
+  engine::Reachability checker(*r.system, engine::Options{});
   const engine::Result res = checker.run(goal);
   EXPECT_TRUE(res.reachable);
 }
@@ -111,17 +126,16 @@ process P {
 }
 query reach P.b;
 )";
-  std::string err;
-  const auto r = parseModel(text, &err);
-  ASSERT_TRUE(r.has_value()) << err;
+  const FrontendResult r = parse(text);
+  ASSERT_TRUE(r.ok) << renderDiagnostics(r.diagnostics);
   // No time may pass in u or c, so x >= 1 can never hold... unless time
   // passed in a first. a has no invariant: delay there, then race
   // through. Reachable.
-  engine::Goal goal{r->queries[0].locations, r->queries[0].predicate, {}};
-  engine::Reachability checker(*r->system, engine::Options{});
+  engine::Goal goal{r.queries[0].locations, r.queries[0].predicate, {}};
+  engine::Reachability checker(*r.system, engine::Options{});
   EXPECT_TRUE(checker.run(goal).reachable);
   // And the parsed flags are set.
-  const Automaton& a = r->system->automaton(0);
+  const Automaton& a = r.system->automaton(0);
   EXPECT_TRUE(a.location(a.findLocation("u")).urgent);
   EXPECT_TRUE(a.location(a.findLocation("c")).committed);
 }
@@ -134,12 +148,11 @@ process R1 { loc r0; loc r1; edge r0 -> r1 { sync all?; } }
 process R2 { loc r0; loc r1; edge r0 -> r1 { sync all?; } }
 query reach S.s1 && R1.r1 && R2.r1;
 )";
-  std::string err;
-  const auto r = parseModel(text, &err);
-  ASSERT_TRUE(r.has_value()) << err;
-  EXPECT_EQ(r->system->channelKind(0), ChanKind::kBroadcast);
-  engine::Goal goal{r->queries[0].locations, r->queries[0].predicate, {}};
-  engine::Reachability checker(*r->system, engine::Options{});
+  const FrontendResult r = parse(text);
+  ASSERT_TRUE(r.ok) << renderDiagnostics(r.diagnostics);
+  EXPECT_EQ(r.system->channelKind(0), ChanKind::kBroadcast);
+  engine::Goal goal{r.queries[0].locations, r.queries[0].predicate, {}};
+  engine::Reachability checker(*r.system, engine::Options{});
   const engine::Result res = checker.run(goal);
   ASSERT_TRUE(res.reachable);
   EXPECT_EQ(res.trace.steps[1].via.parts.size(), 3u);
@@ -157,51 +170,51 @@ process P {
 }
 query reach P.a && v == 11;
 )";
-  std::string err;
-  const auto r = parseModel(text, &err);
-  ASSERT_TRUE(r.has_value()) << err;
-  engine::Goal goal{r->queries[0].locations, r->queries[0].predicate, {}};
-  engine::Reachability checker(*r->system, engine::Options{});
+  const FrontendResult r = parse(text);
+  ASSERT_TRUE(r.ok) << renderDiagnostics(r.diagnostics);
+  engine::Goal goal{r.queries[0].locations, r.queries[0].predicate, {}};
+  engine::Reachability checker(*r.system, engine::Options{});
   EXPECT_TRUE(checker.run(goal).reachable);
 }
 
 // -- Error reporting -----------------------------------------------------
 
 TEST(Parser, ErrorsCarryLineNumbers) {
-  std::string err;
-  EXPECT_FALSE(parseModel("clock x\nint y;", &err).has_value());
-  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+  const FrontendResult r = parse("clock x\nint y;");
+  ASSERT_FALSE(r.ok);
+  EXPECT_EQ(firstError(r).span.line, 2) << renderDiagnostics(r.diagnostics);
 }
 
 TEST(Parser, UnknownIdentifiersRejected) {
-  std::string err;
-  EXPECT_FALSE(
-      parseModel("process P { loc a; edge a -> nowhere { } }", &err)
-          .has_value());
-  EXPECT_NE(err.find("nowhere"), std::string::npos);
-
-  EXPECT_FALSE(
-      parseModel("process P { loc a; edge a -> a { sync ghost!; } }", &err)
-          .has_value());
-  EXPECT_NE(err.find("ghost"), std::string::npos);
-
-  EXPECT_FALSE(
-      parseModel("process P { loc a; edge a -> a { reset t; } }", &err)
-          .has_value());
-  EXPECT_NE(err.find("unknown clock"), std::string::npos);
+  for (const auto& [text, expected] :
+       {std::pair{"process P { loc a; edge a -> nowhere { } }", "nowhere"},
+        std::pair{"process P { loc a; edge a -> a { sync ghost!; } }",
+                  "ghost"},
+        std::pair{"process P { loc a; edge a -> a { reset t; } }",
+                  "unknown clock"}}) {
+    const FrontendResult r = parse(text);
+    ASSERT_FALSE(r.ok) << text;
+    const Diagnostic d = firstError(r);
+    EXPECT_EQ(d.span.line, 1) << text;
+    EXPECT_NE(d.message.find(expected), std::string::npos) << d.message;
+  }
 }
 
 TEST(Parser, DuplicateDeclarationsRejected) {
-  std::string err;
-  EXPECT_FALSE(parseModel("clock x; int x;", &err).has_value());
-  EXPECT_NE(err.find("already declared"), std::string::npos);
+  const FrontendResult r = parse("clock x; int x;");
+  ASSERT_FALSE(r.ok);
+  const Diagnostic d = firstError(r);
+  EXPECT_EQ(d.span.line, 1);
+  EXPECT_NE(d.message.find("already declared"), std::string::npos)
+      << d.message;
 }
 
 TEST(Parser, QueryOnUnknownLocationRejected) {
-  std::string err;
-  EXPECT_FALSE(
-      parseModel("process P { loc a; }\nquery reach P.b;", &err).has_value());
-  EXPECT_NE(err.find("P.b"), std::string::npos);
+  const FrontendResult r = parse("process P { loc a; }\nquery reach P.b;");
+  ASSERT_FALSE(r.ok);
+  const Diagnostic d = firstError(r);
+  EXPECT_EQ(d.span.line, 2);
+  EXPECT_NE(d.message.find("P.b"), std::string::npos) << d.message;
 }
 
 }  // namespace
