@@ -1,9 +1,9 @@
 // Ablation of the engine options the paper's experiments rely on
-// (§5: "the compact data-structure for constraints, the
-// control-structure reduction, and ... the (in-)active clock
-// reduction", plus bit-state hashing with its hash-size sensitivity)
-// and of the zone-abstraction operators (global Extra_M, per-location
-// Extra+_LU).
+// (§5: the (in-)active clock reduction, plus bit-state hashing with its
+// hash-size sensitivity) and of the zone-abstraction operators (global
+// Extra_M, per-location Extra+_LU). The paper's compact constraint
+// store is not ablated: the engine keeps one passed-store layout (see
+// DESIGN.md, "Storage engine").
 //
 // Fixed workloads: the fully guided plant at 10 batches (depth-first)
 // and Fischer's protocol at N = 7..9 (exhaustive proof of mutual
@@ -16,11 +16,8 @@
 // ctest under the perf-smoke label).
 #include <cstdio>
 #include <cstring>
-#include <string>
-#include <vector>
 
 #include "bench_util.hpp"
-#include "engine/trace.hpp"
 #include "ta/system.hpp"
 
 namespace {
@@ -44,102 +41,6 @@ void runRow(const char* name, int batches, engine::Options opts) {
                 "-", "-", static_cast<int>(res.stats.cutoff));
   }
   std::fflush(stdout);
-}
-
-// ------------------------------------------------------------------
-// Passed-store ablation: bytes held by the storage engine (flat store
-// + interner arena) under the PR 4 knobs, on the guided plant.
-// ------------------------------------------------------------------
-
-engine::Result runStoreConfig(int batches, bool intern, bool compact,
-                              bool merge, double budget) {
-  plant::PlantConfig cfg;
-  cfg.order = plant::standardOrder(batches);
-  const auto p = plant::buildPlant(cfg);
-  engine::Options o = benchutil::searchOptions("DFS", budget, 8192);
-  o.internStates = intern;
-  o.compactPassed = compact;
-  o.mergeZones = merge;
-  engine::Reachability checker(p->sys, o);
-  return checker.run(p->goal);
-}
-
-void storeRow(const char* name, int batches, bool intern, bool compact,
-              bool merge, double budget, size_t baselineBytes) {
-  const engine::Result res =
-      runStoreConfig(batches, intern, compact, merge, budget);
-  if (!res.reachable) {
-    std::printf("%-34s %10s %10s %10s %9s   (cutoff=%d)\n", name, "-", "-",
-                "-", "-", static_cast<int>(res.stats.cutoff));
-    return;
-  }
-  const size_t bytes = res.stats.storeBytes + res.stats.internBytes;
-  if (baselineBytes == 0) {
-    std::printf("%-34s %10zu %10zu %10.1f %9s\n", name,
-                res.stats.storedZones, res.stats.zonesMerged,
-                static_cast<double>(bytes) / (1024.0 * 1024.0), "base");
-  } else {
-    std::printf("%-34s %10zu %10zu %10.1f %8.1f%%\n", name,
-                res.stats.storedZones, res.stats.zonesMerged,
-                static_cast<double>(bytes) / (1024.0 * 1024.0),
-                100.0 * static_cast<double>(bytes) /
-                    static_cast<double>(baselineBytes));
-  }
-  g_report.add(std::string("store-") + name, res.stats.seconds * 1000.0,
-               bytes, res.stats.storedZones);
-  std::fflush(stdout);
-}
-
-/// The PR 4 acceptance gate: on the large guided workload the
-/// interned + merged + reduced-form store must hold <= 70% of the
-/// bytes of the pre-interning layout (append-only arena, full zones,
-/// no merging) at the same verdict, with a trace that still validates.
-/// Both runs are goal-directed DFS with the same seed, so the byte
-/// counts are deterministic per build.
-int storeSmoke() {
-  const int batches = benchutil::quick() ? 15 : 45;
-  constexpr double kBudget = 480.0;
-  const engine::Result base =
-      runStoreConfig(batches, false, false, false, kBudget);
-  const engine::Result opt =
-      runStoreConfig(batches, true, true, true, kBudget);
-  const size_t baseBytes = base.stats.storeBytes + base.stats.internBytes;
-  const size_t optBytes = opt.stats.storeBytes + opt.stats.internBytes;
-  std::printf("guided %d-batch  baseline: reach=%d store+intern=%.1f MB  "
-              "optimized: reach=%d store+intern=%.1f MB merges=%zu\n",
-              batches, base.reachable ? 1 : 0,
-              static_cast<double>(baseBytes) / (1024.0 * 1024.0),
-              opt.reachable ? 1 : 0,
-              static_cast<double>(optBytes) / (1024.0 * 1024.0),
-              opt.stats.zonesMerged);
-  if (!base.reachable || !opt.reachable) {
-    std::printf("FAIL: schedule not found (baseline=%d optimized=%d)\n",
-                base.reachable ? 1 : 0, opt.reachable ? 1 : 0);
-    return 1;
-  }
-  // The optimized store must not change the answer's substance: the
-  // trace it reconstructs still concretizes into a valid timed run.
-  {
-    plant::PlantConfig cfg;
-    cfg.order = plant::standardOrder(batches);
-    const auto p = plant::buildPlant(cfg);
-    std::string err;
-    const auto ct = engine::concretize(p->sys, opt.trace, &err);
-    if (!ct.has_value() || !engine::validate(p->sys, *ct, &err)) {
-      std::printf("FAIL: optimized-store trace invalid: %s\n", err.c_str());
-      return 1;
-    }
-  }
-  const double ratio =
-      static_cast<double>(optBytes) / static_cast<double>(baseBytes);
-  if (ratio > 0.7) {
-    std::printf("FAIL: optimized store holds %.1f%% of baseline bytes "
-                "(need <= 70%%)\n", 100.0 * ratio);
-    return 1;
-  }
-  std::printf("PASS: optimized store holds %.1f%% of baseline bytes\n",
-              100.0 * ratio);
-  return 0;
 }
 
 // ------------------------------------------------------------------
@@ -237,9 +138,6 @@ int smoke() {
 
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) return smoke();
-  if (argc > 1 && std::strcmp(argv[1], "--store-smoke") == 0) {
-    return storeSmoke();
-  }
 
   const int n = benchutil::quick() ? 5 : 10;
   const double budget = benchutil::quick() ? 10.0 : 60.0;
@@ -249,26 +147,12 @@ int main(int argc, char** argv) {
               "stored", "seconds", "peakMB");
 
   engine::Options base = benchutil::searchOptions("DFS", budget, 4096);
-  base.compactPassed = false;  // toggled explicitly below
   runRow("baseline (full zones, inclusion)", n, base);
 
   {
     engine::Options o = base;
-    o.compactPassed = true;
-    runRow("compact passed-list zones [9]", n, o);
-  }
-  {
-    engine::Options o = base;
     o.activeClockReduction = false;
     runRow("no active-clock reduction", n, o);
-  }
-  {
-    // Zone inclusion is what keeps the guided plant tractable: exact-
-    // equality deduplication revisits near-identical zones endlessly.
-    engine::Options o = base;
-    o.inclusionChecking = false;
-    o.maxSeconds = benchutil::quick() ? 5.0 : 20.0;
-    runRow("no zone-inclusion checking", n, o);
   }
   {
     // Without extrapolation the zone graph need not be finite; the
@@ -301,27 +185,6 @@ int main(int argc, char** argv) {
                engine::Extrapolation::kLocationLUPlus, true, fbudget, gs);
     fischerRow("Extra+_LU, no active clocks", fn,
                engine::Extrapolation::kLocationLUPlus, false, fbudget, gs);
-  }
-
-  std::printf("\nPassed-store bytes (All Guides, %d batches, DFS; "
-              "store + interner arena):\n\n", n);
-  std::printf("%-34s %10s %10s %10s %9s\n", "configuration", "stored",
-              "merged", "MB", "vs base");
-  {
-    const engine::Result b = runStoreConfig(n, false, false, false, budget);
-    const size_t bb =
-        b.reachable ? b.stats.storeBytes + b.stats.internBytes : 0;
-    if (b.reachable) {
-      std::printf("%-34s %10zu %10zu %10.1f %9s\n",
-                  "no interning, full zones", b.stats.storedZones,
-                  b.stats.zonesMerged,
-                  static_cast<double>(bb) / (1024.0 * 1024.0), "base");
-      g_report.add("store-no-interning-full", b.stats.seconds * 1000.0, bb,
-                   b.stats.storedZones);
-    }
-    storeRow("interned, full zones", n, true, false, false, budget, bb);
-    storeRow("interned + merging", n, true, false, true, budget, bb);
-    storeRow("interned + compact + merging", n, true, true, true, budget, bb);
   }
 
   std::printf("\nBit-state hashing: hash-table size sensitivity "

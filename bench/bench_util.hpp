@@ -203,12 +203,6 @@ inline CellResult runCell(int batches, plant::GuideLevel guides,
   o.maxSeconds = maxSeconds;
   o.maxMemoryBytes = maxMemoryMb * 1024 * 1024;
   o.seed = 1;
-  // The paper enables UPPAAL's compact constraint data-structure for
-  // its measurements; our reduced-form store saves memory on the big
-  // (many-clock) instances but disables subsumption-removal, which the
-  // small unguided instances depend on — so the table uses the full
-  // store and the ablation bench covers the compact one.
-  o.compactPassed = false;
   if (kind == "BFS") {
     o.order = engine::SearchOrder::kBfs;
   } else if (kind == "DFS") {

@@ -260,6 +260,9 @@ int main(int argc, char** argv) {
   opts.order = engine::SearchOrder::kDfs;
   opts.dfsReverse = true;
   opts.maxSeconds = 120.0;
+  // The default run peaks at ~4 MB accounted; a blow-up (say, a large
+  // --batches) ends as Cutoff::kMemory instead of an OOM kill.
+  opts.maxMemoryBytes = size_t{1} << 30;
   engine::Reachability checker(p->sys, opts);
   const engine::Result res = checker.run(p->goal);
   if (!res.reachable) {

@@ -20,6 +20,8 @@ int main() {
   opts.order = engine::SearchOrder::kDfs;
   opts.dfsReverse = true;
   opts.maxSeconds = 60.0;
+  // Peaks at ~4 MB accounted; a blow-up ends as Cutoff::kMemory.
+  opts.maxMemoryBytes = size_t{256} << 20;
   engine::Reachability checker(p->sys, opts);
   const engine::Result res = checker.run(p->goal);
   if (!res.reachable) {

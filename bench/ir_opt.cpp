@@ -70,6 +70,8 @@ struct WorkloadRow {
 Cell runOnce(const ta::System& sys, const engine::Goal& goal,
              engine::Options opts, int level) {
   opts.optLevel = level;
+  // The full run peaks at ~850 MB accounted (the 45-batch plant).
+  opts.maxMemoryBytes = size_t{2} << 30;
   engine::Reachability checker(sys, opts);
   const engine::Result res = checker.run(goal);
   Cell c;

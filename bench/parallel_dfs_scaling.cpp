@@ -50,6 +50,10 @@
 
 namespace {
 
+// Every search's budget. The full run peaks at ~2.4 GB accounted (the
+// 45-batch verdict at 2 threads); a blow-up ends as Cutoff::kMemory.
+constexpr size_t kMaxMemoryBytes = size_t{6} << 30;
+
 struct Run {
   size_t threads;
   bool reachable;
@@ -98,6 +102,7 @@ Run runWorkload(int batches, size_t threads, size_t maxStates) {
     o.hashBits = 24;
   }
   o.maxSeconds = 900.0;
+  o.maxMemoryBytes = kMaxMemoryBytes;
   engine::Reachability checker(p->sys, o);
   return toRun(threads, checker.run(goal));
 }
@@ -108,6 +113,7 @@ Run runProof(int processes, size_t threads) {
   o.order = engine::SearchOrder::kDfs;
   o.threads = threads;
   o.maxSeconds = 900.0;
+  o.maxMemoryBytes = kMaxMemoryBytes;
   engine::Reachability checker(f.sys, o);
   return toRun(threads, checker.run(f.mutexViolation()));
 }

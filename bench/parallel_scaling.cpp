@@ -44,6 +44,8 @@ Run runWorkload(int batches, size_t maxStates, size_t threads) {
   o.threads = threads;
   o.maxStates = maxStates;
   o.maxSeconds = 900.0;
+  // The full run peaks at ~1.9 GB accounted.
+  o.maxMemoryBytes = size_t{4} << 30;
   engine::Reachability checker(p->sys, o);
   const engine::Result res = checker.run(p->goal);
   return Run{threads,          res.reachable,       res.stats.cutoff,

@@ -44,6 +44,10 @@ namespace {
 constexpr int64_t kSlackTicks = 8000;
 constexpr int32_t kTpu = 1000;
 constexpr int64_t kReplanChargeTicks = 2000;
+// Budget of the schedule search and of every repair search. The
+// default run peaks at ~4 MB accounted; a blow-up (say, a large
+// --batches) ends as Cutoff::kMemory instead of an OOM kill.
+constexpr size_t kMaxMemoryBytes = size_t{1} << 30;
 
 struct TrialOutcome {
   bool ok = false;
@@ -122,6 +126,7 @@ TrialOutcome runClosedLoop(const synthesis::Schedule& sched,
   opts.replanChargeTicks = kReplanChargeTicks;
   opts.resume.strictMaxStates = 150'000;
   opts.resume.relaxedMaxStates = 400'000;
+  opts.resume.engine.maxMemoryBytes = kMaxMemoryBytes;
   const replan::RunReport rep = replan::runWithReplanning(cfg, sched, opts);
   TrialOutcome t;
   t.ok = rep.success;
@@ -292,6 +297,7 @@ int main(int argc, char** argv) {
   eopts.order = engine::SearchOrder::kDfs;
   eopts.dfsReverse = true;
   eopts.maxSeconds = 120.0;
+  eopts.maxMemoryBytes = kMaxMemoryBytes;
   engine::Reachability checker(p->sys, eopts);
   const engine::Result res = checker.run(p->goal);
   if (!res.reachable) {

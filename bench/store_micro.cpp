@@ -2,8 +2,7 @@
 // hash-consing arena, covered() probe throughput of the flat
 // open-addressing passed store against a PR 3-style
 // unordered_map-of-zone-vectors baseline (rebuilt locally so the
-// comparison survives the old store's removal), and the exact
-// convex-union merge rate on an interval-chain workload.
+// comparison survives the old store's removal).
 //
 // `store_micro --smoke` runs only the covered() comparison and fails
 // (exit != 0) when the flat store does not at least match the legacy
@@ -105,9 +104,8 @@ struct CoveredResult {
 /// covered() query stream over each (best of three passes).
 CoveredResult coveredKernel(int nStates, int zonesPer, uint32_t dim,
                             int queryRounds) {
-  engine::StateInterner interner(true);
-  engine::Options opts;
-  engine::PassedStore flat(opts, interner);
+  engine::StateInterner interner;
+  engine::PassedStore flat(interner);
   LegacyMapStore legacy;
   for (int k = 0; k < nStates; ++k) {
     const engine::DiscreteState d = makeState(k);
@@ -182,7 +180,7 @@ struct InternResult {
 };
 
 InternResult internKernel(int nStates, int hitPasses) {
-  engine::StateInterner interner(true);
+  engine::StateInterner interner;
   InternResult out;
   out.states = static_cast<size_t>(nStates);
   Clock::time_point t0 = Clock::now();
@@ -199,40 +197,6 @@ InternResult internKernel(int nStates, int hitPasses) {
   }
   out.hitMs = msSince(t0);
   out.reinterns = static_cast<size_t>(nStates) * hitPasses;
-  return out;
-}
-
-struct MergeResult {
-  double ms = 0.0;
-  size_t inserts = 0;
-  size_t merges = 0;
-  size_t finalZones = 0;
-};
-
-/// Insert chains of adjacent intervals under mergeZones: every insert
-/// after a bucket's first is exactly mergeable, so the merge rate of a
-/// healthy implementation approaches 1 merge per insert.
-MergeResult mergeKernel(int nStates, int chain, uint32_t dim) {
-  engine::StateInterner interner(true);
-  engine::Options opts;
-  opts.mergeZones = true;
-  engine::PassedStore store(opts, interner);
-  MergeResult out;
-  const Clock::time_point t0 = Clock::now();
-  for (int k = 0; k < nStates; ++k) {
-    const uint32_t id = interner.intern(makeState(k));
-    for (int s = 0; s < chain; ++s) {
-      // [s, s+1]: abuts the previously merged [0, s] prefix.
-      dbm::Dbm z = dbm::Dbm::unconstrained(dim);
-      z.constrain(0, 1, dbm::boundWeak(-s));
-      z.constrain(1, 0, dbm::boundWeak(s + 1));
-      store.insert(id, z);
-      ++out.inserts;
-    }
-  }
-  out.ms = msSince(t0);
-  out.merges = store.merges();
-  out.finalZones = store.states();
   return out;
 }
 
@@ -291,19 +255,6 @@ int main(int argc, char** argv) {
     report.add("covered-legacy-" + std::to_string(n) + "x8", r.legacyMs, 0,
                static_cast<size_t>(n) * 8);
   }
-  {
-    const int n = quick ? 2000 : 10000;
-    const MergeResult r = mergeKernel(n, 16, 16);
-    std::printf("merge: %zu inserts -> %zu merges (%.1f%%), %zu zones kept, "
-                "%.1f ms\n",
-                r.inserts, r.merges,
-                100.0 * static_cast<double>(r.merges) /
-                    static_cast<double>(r.inserts),
-                r.finalZones, r.ms);
-    report.add("merge-chain-" + std::to_string(n) + "x16", r.ms, 0,
-               r.finalZones);
-  }
-
   report.write();
   return 0;
 }

@@ -12,7 +12,7 @@
 #   2. fuzz     — ctest -L fuzz: the randomized differential and
 #                 property suites, isolated so a CI trajectory can
 #                 re-run just them (differential engine comparison,
-#                 DBM/minimal-form oracles, plant properties,
+#                 DBM and priced-zone oracles, plant properties,
 #                 bit-state hashing, parser mutation/soup fuzzing).
 #   2b. frontend— the .gta compiler pipeline by name: the golden
 #                 diagnostic corpus (including the coverage gate that
@@ -30,10 +30,9 @@
 #                 through their edge cases, and partly allocated
 #                 ZoneBatch blocks and clock-indexed point completion
 #                 only fail on a bad index under memory/UB checking.
-#   5. store /  — the storage + kernel stage: the perf-smoke gates that
-#      kernels    certify the flat passed store (covered() throughput
-#                 vs the legacy map layout, guided-workload bytes vs
-#                 the pre-interning baseline), the SIMD roofline gate
+#   5. store /  — the storage + kernel stage: the perf-smoke gate that
+#      kernels    certifies the flat passed store (covered() throughput
+#                 vs the legacy map layout), the SIMD roofline gate
 #                 (vectorized close/inclusion/batch-scan >= 1.5x the
 #                 forced-scalar baseline), the best-first optimizer
 #                 gate (match-or-beat binary search in <= 0.8x its
@@ -84,7 +83,7 @@ cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
 echo "== stage 2: fuzz label (randomized suites) =="
-ctest --test-dir build --output-on-failure -L fuzz -j "$jobs"
+ctest --test-dir build --output-on-failure --no-tests=error -L fuzz -j "$jobs"
 
 echo "== stage 2b: frontend golden-diagnostic suite (release) =="
 # Also part of the stage-1 full ctest; re-run by name so a frontend
@@ -92,20 +91,20 @@ echo "== stage 2b: frontend golden-diagnostic suite (release) =="
 # is the gate that every DiagCode enumerator appears in >= 1 corpus
 # file; the ParserFuzz suites carry the fuzz label and additionally run
 # under ASan+UBSan in stage 4.
-ctest --test-dir build --output-on-failure -j "$jobs" \
+ctest --test-dir build --output-on-failure --no-tests=error -j "$jobs" \
   -R 'GoldenDiag|LexerSpans|DiagnosticSpans|ErrorCap|Rendering|RoundTrip\.|LintSoundness'
 
 echo "== stage 5a: storage-engine perf gates (release) =="
 # Also part of the stage-1 full ctest; re-run by name so a storage
 # regression is reported as its own stage.
-ctest --test-dir build --output-on-failure \
-  -R 'store_micro_smoke|ablation_store_smoke'
+ctest --test-dir build --output-on-failure --no-tests=error \
+  -R 'store_micro_smoke'
 
 echo "== stage 5b: SIMD roofline + best-first optimizer gates (release) =="
 # Also part of the stage-1 full ctest; re-run by name so a kernel or
 # optimizer regression is reported as its own stage. The roofline gate
 # self-skips on hardware without a vector path.
-ctest --test-dir build --output-on-failure \
+ctest --test-dir build --output-on-failure --no-tests=error \
   -R 'dbm_micro_simd_smoke|bestfirst_opt_smoke'
 
 echo "== stage 5e: pre-exploration optimizer gate (release) =="
@@ -114,19 +113,21 @@ echo "== stage 5e: pre-exploration optimizer gate (release) =="
 # verdicts at opt-level 0 and 2 on every workload and a >= 10%
 # statesExplored reduction on at least one (the instrumented-Fischer
 # dead-store workload).
-ctest --test-dir build --output-on-failure -R 'ir_opt_smoke'
+ctest --test-dir build --output-on-failure --no-tests=error -R 'ir_opt_smoke'
 
 echo "== stage 6a: fault-campaign robustness gate (release) =="
 # Also part of the stage-1 full ctest; re-run by name so a robustness
 # regression is reported as its own stage.
-ctest --test-dir build --output-on-failure -R 'fault_campaign_smoke'
+ctest --test-dir build --output-on-failure --no-tests=error \
+  -R 'fault_campaign_smoke'
 
 echo "== stage 7a: closed-loop replanning gate (release) =="
 # Also part of the stage-1 full ctest; re-run by name so a replanning
 # regression is reported as its own stage. The gate writes
 # BENCH_replan_campaign.json at the repo root; CI trajectories diff the
 # outcome fields across runs, so the file must say where it came from.
-ctest --test-dir build --output-on-failure -R 'replan_campaign_smoke'
+ctest --test-dir build --output-on-failure --no-tests=error \
+  -R 'replan_campaign_smoke'
 for field in git_rev hostname timestamp; do
   if ! grep -Eq "\"${field}\": \"[^\"]+\"" BENCH_replan_campaign.json; then
     echo "BENCH_replan_campaign.json: provenance field '${field}'" \
@@ -148,36 +149,41 @@ fi
 echo "== stage 3: ThreadSanitizer (parallel label + differential) =="
 cmake -B build-tsan -S . -DSANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$jobs"
-ctest --test-dir build-tsan --output-on-failure -L parallel -j "$jobs"
+ctest --test-dir build-tsan --output-on-failure --no-tests=error \
+  -L parallel -j "$jobs"
 # The differential suite is labelled fuzz (one label per binary — see
 # tests/CMakeLists.txt) but exercises every parallel configuration, so
 # the TSan pass picks it up by name.
-ctest --test-dir build-tsan --output-on-failure -R 'Differential' -j "$jobs"
+ctest --test-dir build-tsan --output-on-failure --no-tests=error \
+  -R 'Differential' -j "$jobs"
 
 echo "== stage 4: AddressSanitizer + UBSan (fuzz label + analysis suites) =="
 cmake -B build-asan -S . -DSANITIZE=address >/dev/null
 cmake --build build-asan -j "$jobs"
-ctest --test-dir build-asan --output-on-failure -L fuzz -j "$jobs"
+ctest --test-dir build-asan --output-on-failure --no-tests=error \
+  -L fuzz -j "$jobs"
 # The optimizer pass suite by name: IR lowering, the pass pipeline's
 # expression-pool rewrites, and the digitized-oracle explorations are
 # pointer-heavy and belong under memory/UB checking. (The differential
 # suite's opt-level configs already run under TSan in stage 3.)
-ctest --test-dir build-asan --output-on-failure -R 'BoundsAnalysis|OptPasses' \
+ctest --test-dir build-asan --output-on-failure --no-tests=error \
+  -R 'BoundsAnalysis|OptPasses' \
   -j "$jobs"
 # Trace concretization (the O(n) per clock point completion and its
 # constrain-and-reclose oracle), the validator, and the DBM unit suite
 # (freeClocks' row pass) by name.
-ctest --test-dir build-asan --output-on-failure \
+ctest --test-dir build-asan --output-on-failure --no-tests=error \
   -R 'Concretize|Validate|Dbm\.' -j "$jobs"
 
 echo "== stage 5c: storage engine under the sanitizer builds =="
 # The interner's lock-free reads and the flat store's probe loops under
 # TSan (store_parallel_test is in -L parallel already; the sequential
 # store/interner units are picked up by name), and the zone-arena
-# buffer arithmetic under ASan/UBSan (merge_oracle_test is in -L fuzz).
-ctest --test-dir build-tsan --output-on-failure -R 'Store|Interner' -j "$jobs"
-ctest --test-dir build-asan --output-on-failure -R 'Store|Interner|MergeOracle' \
-  -j "$jobs"
+# buffer arithmetic under ASan/UBSan.
+ctest --test-dir build-tsan --output-on-failure --no-tests=error \
+  -R 'Store|Interner' -j "$jobs"
+ctest --test-dir build-asan --output-on-failure --no-tests=error \
+  -R 'Store|Interner' -j "$jobs"
 
 echo "== stage 5d: priced zones + best-first under the sanitizer builds =="
 # The SoA batch's lane arithmetic, the priced-zone cost adjustments,
@@ -187,9 +193,10 @@ echo "== stage 5d: priced zones + best-first under the sanitizer builds =="
 # regressions are picked up by name), and the forced-dispatch kernels
 # under TSan — the dispatch switch and kernel-hit counters are shared
 # state every search thread touches.
-ctest --test-dir build-asan --output-on-failure -R 'BestFirst|DbmHash' \
+ctest --test-dir build-asan --output-on-failure --no-tests=error \
+  -R 'BestFirst|DbmHash' \
   -j "$jobs"
-ctest --test-dir build-tsan --output-on-failure \
+ctest --test-dir build-tsan --output-on-failure --no-tests=error \
   -R 'ZoneBatch|PricedOracle|BestFirst|HeuristicProperty' -j "$jobs"
 
 echo "== stage 6b: RCX execution-layer suites under ASan/UBSan =="
@@ -197,7 +204,7 @@ echo "== stage 6b: RCX execution-layer suites under ASan/UBSan =="
 # streams, the plant physics, and whole simulated trials under
 # memory/UB checking. (FaultInjection's model-level hazard searches are
 # wall-clock-bounded and engine-bound, so they stay in stages 1-2.)
-ctest --test-dir build-asan --output-on-failure \
+ctest --test-dir build-asan --output-on-failure --no-tests=error \
   -R 'RcxVm|FaultChannel|FaultSim|PhysicsTest|Lifecycle' -j "$jobs"
 
 echo "== stage 6c: parallel campaign runner under TSan =="
@@ -210,7 +217,7 @@ echo "== stage 7b: replanning suites under ASan/UBSan =="
 # the crash-restart resume round trips, and the nonzero-clock-init
 # engine semantics the lift depends on, all under memory/UB checking.
 # (The Lift\. anchor keeps the RCX Lifecycle suite out of this stage.)
-ctest --test-dir build-asan --output-on-failure \
+ctest --test-dir build-asan --output-on-failure --no-tests=error \
   -R 'SnapshotCapture|SnapshotClassify|Lift\.|RelaxedConfig|ResumeRoundTrip|InitialClocks' \
   -j "$jobs"
 

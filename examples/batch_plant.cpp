@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
   }
   if (const char* s = std::getenv("SEED")) opts.seed = std::atoi(s);
   if (const char* m = std::getenv("MAX_MB")) opts.maxMemoryBytes = std::atoll(m) * 1024 * 1024;
-  if (std::getenv("COMPACT")) opts.compactPassed = true;
   opts.optLevel = frontend.optLevel;
 
   plant::PlantConfig cfg;

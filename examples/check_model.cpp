@@ -4,19 +4,18 @@
 //
 // Usage: check_model <model-file> [bfs|dfs|rdfs] [--trace] [--threads N]
 //                    [--extrapolation none|global|lu]
-//                    [--stats-json] [--no-intern] [--merge-zones]
+//                    [--stats-json]
 //                    [--opt-level N] [--no-lint] [--Werror]
 //
 // --threads N parallelizes whichever order is selected (level-
 // synchronous BFS, work-stealing DFS). --extrapolation selects the
 // zone-abstraction operator (default: per-location Extra+_LU).
-// --no-intern / --merge-zones toggle the storage engine (discrete-state
-// hash-consing off, exact convex-union zone merging on). --opt-level
-// selects the pre-exploration optimizer level (0 explores the model
-// exactly as built; default 2 runs the full pass pipeline); when the
-// pipeline did anything, a one-line summary of its work is printed per
-// query. --stats-json prints one JSON object per query with the full
-// engine statistics, including the per-pass optimizer counters.
+// --opt-level selects the pre-exploration optimizer level (0 explores
+// the model exactly as built; default 2 runs the full pass pipeline);
+// when the pipeline did anything, a one-line summary of its work is
+// printed per query. --stats-json prints one JSON object per query
+// with the full engine statistics, including the per-pass optimizer
+// counters.
 //
 // Frontend diagnostics are cumulative: a malformed model reports every
 // error (file:line:col, with notes) before exiting, and lint warnings
@@ -55,7 +54,6 @@ void printStatsJson(std::ostream& os, size_t query, bool reachable,
      << ", \"internBytes\": " << s.internBytes
      << ", \"storeLookups\": " << s.storeLookups
      << ", \"storeProbeSteps\": " << s.storeProbeSteps
-     << ", \"zonesMerged\": " << s.zonesMerged
      << ", \"storeBytes\": " << s.storeBytes
      << ", \"reopenings\": " << s.reopenings
      << ", \"simdKernelOps\": " << s.simdKernelOps
@@ -104,7 +102,7 @@ int main(int argc, char** argv) {
     std::cerr << "usage: check_model <model-file> [bfs|dfs|rdfs] [--trace]"
                  " [--threads N]"
                  " [--extrapolation none|global|lu]"
-                 " [--stats-json] [--no-intern] [--merge-zones]"
+                 " [--stats-json]"
                  " [--opt-level N] [--no-lint] [--Werror]\n";
     return 2;
   }
@@ -129,8 +127,6 @@ int main(int argc, char** argv) {
     if (a == "rdfs") opts.order = engine::SearchOrder::kRandomDfs;
     if (a == "--trace") showTrace = true;
     if (a == "--stats-json") statsJson = true;
-    if (a == "--no-intern") opts.internStates = false;
-    if (a == "--merge-zones") opts.mergeZones = true;
     if (a == "--threads" && i + 1 < argc) {
       opts.threads = static_cast<size_t>(std::atoi(argv[++i]));
     }

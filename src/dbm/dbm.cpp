@@ -204,51 +204,6 @@ Dbm Dbm::fromSpan(uint32_t dim, std::span<const raw_t> raw) {
   return d;
 }
 
-Dbm Dbm::convexHullOf(const Dbm& a, const Dbm& b) {
-  assert(a.dim_ == b.dim_);
-  Dbm h(a);
-  for (size_t k = 0; k < h.raw_.size(); ++k) {
-    h.raw_[k] = std::max(h.raw_[k], b.raw_[k]);
-  }
-  h.invalidateHash();
-  return h;
-}
-
-bool Dbm::tryConvexUnion(const Dbm& a, const Dbm& b, Dbm* out,
-                         int maxPieces) {
-  assert(a.dim_ == b.dim_ && !a.isEmpty() && !b.isEmpty());
-  const uint32_t n = a.dim_;
-  Dbm hull = convexHullOf(a, b);
-  // Inclusion degenerates the union: the hull IS the larger operand.
-  if (hull.raw_ == a.raw_ || hull.raw_ == b.raw_) {
-    *out = std::move(hull);
-    return true;
-  }
-  // Cost bound: each piece of hull \ a comes from an entry where a is
-  // strictly tighter than the hull, so count them before building any.
-  int pieces = 0;
-  for (size_t k = 0; k < a.raw_.size(); ++k) {
-    if (a.raw_[k] < hull.raw_[k] && ++pieces > maxPieces) return false;
-  }
-  // hull == a ∪ b  iff  (hull \ a) ⊆ b.  A point of the hull outside a
-  // violates at least one constraint (i, j) of a, so hull \ a is the
-  // union over a's tighter entries of hull ∧ ¬(x_i - x_j ≤ a_ij), i.e.
-  // hull ∧ (x_j - x_i < -a_ij) with flipped strictness (boundNegate).
-  Dbm piece(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    for (uint32_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const raw_t aij = a.raw_[i * n + j];
-      if (aij >= hull.raw_[i * n + j]) continue;
-      piece = hull;
-      if (!piece.constrain(j, i, boundNegate(aij))) continue;  // empty piece
-      if (!b.includes(piece)) return false;
-    }
-  }
-  *out = std::move(hull);
-  return true;
-}
-
 Relation Dbm::relation(const Dbm& other) const noexcept {
   assert(dim_ == other.dim_);
   simd::noteOp();

@@ -184,29 +184,6 @@ class Dbm {
   bool extrapolateLUBounds(std::span<const value_t> lower,
                            std::span<const value_t> upper);
 
-  // -- Convex union -----------------------------------------------------
-
-  /// Smallest DBM containing both zones: the pointwise max of the two
-  /// canonical matrices. The result is canonical without a closure pass
-  /// (max preserves the triangle inequality entrywise) but in general
-  /// over-approximates the union a ∪ b.
-  [[nodiscard]] static Dbm convexHullOf(const Dbm& a, const Dbm& b);
-
-  /// Exact convex-union test (the check the passed store's zone
-  /// merging relies on): if hull(a, b) == a ∪ b as
-  /// sets, write the hull to *out and return true; otherwise leave *out
-  /// untouched and return false.
-  ///
-  /// The test is exact: hull = a ∪ b iff (hull \ a) ⊆ b, and hull \ a
-  /// decomposes into one convex piece per constraint (i, j) of `a` that
-  /// is strictly tighter than the hull's — piece = hull ∧ ¬(x_i - x_j ≤
-  /// a_ij). Each non-empty piece must lie inside b. `maxPieces` bounds
-  /// the cost: when `a` tightens more than that many hull entries the
-  /// test conservatively reports "not convex" (never a wrong merge).
-  /// Both inputs must be canonical and non-empty.
-  [[nodiscard]] static bool tryConvexUnion(const Dbm& a, const Dbm& b,
-                                           Dbm* out, int maxPieces = 32);
-
   // -- Comparison / inclusion -------------------------------------------
 
   /// Exact set relation between two canonical zones of equal dimension.

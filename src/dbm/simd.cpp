@@ -82,14 +82,6 @@ uint32_t laneSubsetScalar(const raw_t* lanes, raw_t q,
   return mask;
 }
 
-uint32_t laneEqualScalar(const raw_t* lanes, raw_t q,
-                         uint32_t mask) noexcept {
-  for (size_t i = 0; i < kLanes; ++i) {
-    if (lanes[i] != q) mask &= ~(1u << i);
-  }
-  return mask;
-}
-
 // Once a scan is down to one surviving lane, the 8-lane compares read
 // 8x the useful data; a strided single-lane tail touches only that
 // zone's entries. The tails are shared by the scalar and AVX2 blocks.
@@ -112,15 +104,6 @@ uint32_t laneTailSubset(const raw_t* blk, const raw_t* q, size_t e,
   return mask;
 }
 
-uint32_t laneTailEqual(const raw_t* blk, const raw_t* q, size_t e,
-                       size_t elems, uint32_t mask) noexcept {
-  const auto lane = static_cast<size_t>(__builtin_ctz(mask));
-  for (; e < elems; ++e) {
-    if (blk[e * kLanes + lane] != q[e]) return 0;
-  }
-  return mask;
-}
-
 uint32_t blockSupersetScalar(const raw_t* blk, const raw_t* q, size_t elems,
                              uint32_t mask) noexcept {
   for (size_t e = 0; e < elems && mask != 0; ++e) {
@@ -138,17 +121,6 @@ uint32_t blockSubsetScalar(const raw_t* blk, const raw_t* q, size_t elems,
     mask = laneSubsetScalar(blk + e * kLanes, q[e], mask);
     if ((mask & (mask - 1)) == 0 && mask != 0) {
       return laneTailSubset(blk, q, e + 1, elems, mask);
-    }
-  }
-  return mask;
-}
-
-uint32_t blockEqualScalar(const raw_t* blk, const raw_t* q, size_t elems,
-                          uint32_t mask) noexcept {
-  for (size_t e = 0; e < elems && mask != 0; ++e) {
-    mask = laneEqualScalar(blk + e * kLanes, q[e], mask);
-    if ((mask & (mask - 1)) == 0 && mask != 0) {
-      return laneTailEqual(blk, q, e + 1, elems, mask);
     }
   }
   return mask;
@@ -238,36 +210,6 @@ __attribute__((target("avx2"))) void rowMinEqAvx2(raw_t* dst,
 }
 
 __attribute__((target("avx2"))) uint32_t
-laneSupersetAvx2(const raw_t* lanes, raw_t q, uint32_t mask) noexcept {
-  const __m256i lv = _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(lanes));
-  const __m256i lt = _mm256_cmpgt_epi32(_mm256_set1_epi32(q), lv);
-  const uint32_t dead = static_cast<uint32_t>(
-      _mm256_movemask_ps(_mm256_castsi256_ps(lt)));
-  return mask & ~dead;
-}
-
-__attribute__((target("avx2"))) uint32_t
-laneSubsetAvx2(const raw_t* lanes, raw_t q, uint32_t mask) noexcept {
-  const __m256i lv = _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(lanes));
-  const __m256i gt = _mm256_cmpgt_epi32(lv, _mm256_set1_epi32(q));
-  const uint32_t dead = static_cast<uint32_t>(
-      _mm256_movemask_ps(_mm256_castsi256_ps(gt)));
-  return mask & ~dead;
-}
-
-__attribute__((target("avx2"))) uint32_t
-laneEqualAvx2(const raw_t* lanes, raw_t q, uint32_t mask) noexcept {
-  const __m256i lv = _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(lanes));
-  const __m256i eq = _mm256_cmpeq_epi32(lv, _mm256_set1_epi32(q));
-  const uint32_t keep = static_cast<uint32_t>(
-      _mm256_movemask_ps(_mm256_castsi256_ps(eq)));
-  return mask & keep;
-}
-
-__attribute__((target("avx2"))) uint32_t
 blockSupersetAvx2(const raw_t* blk, const raw_t* q, size_t elems,
                   uint32_t mask) noexcept {
   for (size_t e = 0; e < elems && mask != 0; ++e) {
@@ -294,22 +236,6 @@ blockSubsetAvx2(const raw_t* blk, const raw_t* q, size_t elems,
         _mm256_movemask_ps(_mm256_castsi256_ps(gt)));
     if ((mask & (mask - 1)) == 0 && mask != 0) {
       return laneTailSubset(blk, q, e + 1, elems, mask);
-    }
-  }
-  return mask;
-}
-
-__attribute__((target("avx2"))) uint32_t
-blockEqualAvx2(const raw_t* blk, const raw_t* q, size_t elems,
-               uint32_t mask) noexcept {
-  for (size_t e = 0; e < elems && mask != 0; ++e) {
-    const __m256i lv = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(blk + e * kLanes));
-    const __m256i eq = _mm256_cmpeq_epi32(lv, _mm256_set1_epi32(q[e]));
-    mask &= static_cast<uint32_t>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(eq)));
-    if ((mask & (mask - 1)) == 0 && mask != 0) {
-      return laneTailEqual(blk, q, e + 1, elems, mask);
     }
   }
   return mask;
@@ -409,28 +335,6 @@ void rowMinEq(raw_t* dst, const raw_t* src, size_t n) noexcept {
   rowMinEqScalar(dst, src, n);
 }
 
-uint32_t laneSupersetMask(const raw_t* lanes, raw_t q,
-                          uint32_t mask) noexcept {
-#if defined(DBM_SIMD_X86)
-  if (useAvx2()) return laneSupersetAvx2(lanes, q, mask);
-#endif
-  return laneSupersetScalar(lanes, q, mask);
-}
-
-uint32_t laneSubsetMask(const raw_t* lanes, raw_t q, uint32_t mask) noexcept {
-#if defined(DBM_SIMD_X86)
-  if (useAvx2()) return laneSubsetAvx2(lanes, q, mask);
-#endif
-  return laneSubsetScalar(lanes, q, mask);
-}
-
-uint32_t laneEqualMask(const raw_t* lanes, raw_t q, uint32_t mask) noexcept {
-#if defined(DBM_SIMD_X86)
-  if (useAvx2()) return laneEqualAvx2(lanes, q, mask);
-#endif
-  return laneEqualScalar(lanes, q, mask);
-}
-
 uint32_t blockSupersetMask(const raw_t* blk, const raw_t* q, size_t elems,
                            uint32_t mask) noexcept {
 #if defined(DBM_SIMD_X86)
@@ -445,14 +349,6 @@ uint32_t blockSubsetMask(const raw_t* blk, const raw_t* q, size_t elems,
   if (useAvx2()) return blockSubsetAvx2(blk, q, elems, mask);
 #endif
   return blockSubsetScalar(blk, q, elems, mask);
-}
-
-uint32_t blockEqualMask(const raw_t* blk, const raw_t* q, size_t elems,
-                        uint32_t mask) noexcept {
-#if defined(DBM_SIMD_X86)
-  if (useAvx2()) return blockEqualAvx2(blk, q, elems, mask);
-#endif
-  return blockEqualScalar(blk, q, elems, mask);
 }
 
 }  // namespace dbm::simd

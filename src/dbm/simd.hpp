@@ -9,9 +9,8 @@
 //   rowCompare   entrywise <,> summary                (Dbm::relation)
 //   rowMinEq     dst[j] = min(dst[j], src[j])         (intersection)
 //
-// plus the 8-lane transposed kernels ZoneBatch builds its
-// structure-of-arrays scans on (laneSupersetMask / laneSubsetMask /
-// laneEqualMask and their block-granular forms).
+// plus the 8-lane transposed block kernels ZoneBatch builds its
+// structure-of-arrays scans on (blockSupersetMask / blockSubsetMask).
 //
 // Each primitive has a portable scalar implementation and an AVX2
 // implementation compiled behind a function-level target attribute (so
@@ -89,40 +88,25 @@ struct CompareResult {
 /// dst[j] = min(dst[j], src[j]).
 void rowMinEq(raw_t* dst, const raw_t* src, size_t n) noexcept;
 
-// -- 8-lane transposed (structure-of-arrays) primitives --------------------
-// `lanes` points at 8 consecutive raw_t holding the same matrix element
-// of 8 different zones (ZoneBatch's block layout). Masks are 8-bit,
-// lane i = bit i.
+// -- 8-lane transposed (structure-of-arrays) block scans -------------------
+// `blk` holds `elems` consecutive 8-lane groups: group e is 8 raw_t
+// holding matrix element e of 8 different zones (ZoneBatch's block
+// layout). Masks are 8-bit, lane i = bit i. Each scan compares the
+// groups against the row-major query `q`, pruning `mask`, and
+// early-exits once the mask dies. One dispatch per whole block, not
+// one per element: the per-call dispatch (atomic level load, branch,
+// out-of-line call) costs more than the 8-lane compare it guards.
 
 inline constexpr size_t kLanes = 8;
 
-/// Bits of `mask` stay set only for lanes with lanes[i] >= q
-/// (stored ⊇ query, one element).
-[[nodiscard]] uint32_t laneSupersetMask(const raw_t* lanes, raw_t q,
-                                        uint32_t mask) noexcept;
-
-/// Bits survive only for lanes with lanes[i] <= q (stored ⊆ query).
-[[nodiscard]] uint32_t laneSubsetMask(const raw_t* lanes, raw_t q,
-                                      uint32_t mask) noexcept;
-
-/// Bits survive only for lanes with lanes[i] == q.
-[[nodiscard]] uint32_t laneEqualMask(const raw_t* lanes, raw_t q,
-                                     uint32_t mask) noexcept;
-
-// Block-granular scans: one dispatch per whole 8-lane block instead of
-// one per element. The per-call dispatch (atomic level load + branch +
-// out-of-line call) costs more than the 8-lane compare it guards, so
-// the element-granular primitives above are for mixed/irregular use;
-// the covered() hot path runs these. Each walks `elems` consecutive
-// 8-lane groups of `blk` against the row-major query `q`, pruning
-// `mask`, and early-exits once the mask dies.
-
+/// Bits of `mask` survive only for lanes whose zone dominates the query
+/// on every element (stored ⊇ query, on this region).
 [[nodiscard]] uint32_t blockSupersetMask(const raw_t* blk, const raw_t* q,
                                          size_t elems,
                                          uint32_t mask) noexcept;
+/// Bits survive only for lanes dominated by the query on every element
+/// (stored ⊆ query, on this region).
 [[nodiscard]] uint32_t blockSubsetMask(const raw_t* blk, const raw_t* q,
                                        size_t elems, uint32_t mask) noexcept;
-[[nodiscard]] uint32_t blockEqualMask(const raw_t* blk, const raw_t* q,
-                                      size_t elems, uint32_t mask) noexcept;
 
 }  // namespace dbm::simd

@@ -72,25 +72,6 @@ bool ZoneBatch::anySuperset(std::span<const raw_t> q) const {
   return false;
 }
 
-bool ZoneBatch::containsEqual(std::span<const raw_t> q) const {
-  assert(q.size() == elems_);
-  if (size_ == 0) return false;
-  simd::noteOp();
-  const raw_t* qTail = q.data() + prefixElems_;
-  for (size_t b = 0, nb = numBlocks(); b < nb; ++b) {
-    uint32_t m =
-        simd::blockEqualMask(block(b), q.data(), prefixElems_, liveMask(b));
-    while (m != 0) {
-      const size_t lane = static_cast<size_t>(__builtin_ctz(m));
-      m &= m - 1;
-      if (std::memcmp(tail(b, lane), qTail, tailElems_ * sizeof(raw_t)) == 0) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 size_t ZoneBatch::pruneSubsets(std::span<const raw_t> q) {
   assert(q.size() == elems_);
   if (size_ == 0) return 0;

@@ -79,7 +79,7 @@ class ZoneBatch {
   /// dim*dim entries).
   void copyTo(size_t idx, raw_t* out) const;
 
-  /// Zone `idx` as a Dbm (tests / merge paths; allocates).
+  /// Zone `idx` as a Dbm (tests; allocates).
   [[nodiscard]] Dbm zoneAt(size_t idx) const;
 
   [[nodiscard]] raw_t at(size_t idx, uint32_t i, uint32_t j) const noexcept {
@@ -98,9 +98,6 @@ class ZoneBatch {
 
   /// Any stored zone ⊇ the query snapshot?
   [[nodiscard]] bool anySuperset(std::span<const raw_t> q) const;
-
-  /// Any stored zone exactly equal to the query snapshot?
-  [[nodiscard]] bool containsEqual(std::span<const raw_t> q) const;
 
   /// Remove every stored zone ⊆ the query (including equal ones) —
   /// the passed store's symmetric subsumption pruning. Returns the

@@ -38,12 +38,8 @@ class StateInterner {
   /// Sentinel for "no state" — e.g. a covered testAndInsert.
   static constexpr uint32_t kNoId = 0xffffffffu;
 
-  /// With `dedup` (Options.internStates), equal states share one entry
-  /// and one id. Without it every intern() appends a fresh copy — the
-  /// pre-interning storage profile, kept for the ablation configs; ids
-  /// then name insertion events rather than values, and the passed
-  /// store falls back to comparing key values.
-  explicit StateInterner(bool dedup = true) : dedup_(dedup) {}
+  /// Equal states share one entry and one id.
+  StateInterner() = default;
 
   StateInterner(const StateInterner&) = delete;
   StateInterner& operator=(const StateInterner&) = delete;
@@ -63,7 +59,7 @@ class StateInterner {
   [[nodiscard]] uint32_t intern(const DiscreteState& d, uint64_t h) {
     Shard& sh = shards_[h & kShardMask];
     std::lock_guard<std::mutex> lk(sh.m);
-    if (dedup_ && !sh.table.empty()) {
+    if (!sh.table.empty()) {
       const size_t mask = sh.table.size() - 1;
       for (size_t pos = (h >> kShardBits) & mask;;
            pos = (pos + 1) & mask) {
@@ -89,9 +85,7 @@ class StateInterner {
     return item(id).hash;
   }
 
-  [[nodiscard]] bool dedup() const noexcept { return dedup_; }
-
-  /// Entries in the arena (distinct states when deduplicating).
+  /// Entries in the arena (distinct states).
   [[nodiscard]] size_t size() const noexcept {
     size_t n = 0;
     for (const Shard& sh : shards_) {
@@ -161,15 +155,13 @@ class StateInterner {
     it.hash = h;
     bytes_.fetch_add(d.memoryBytes(), std::memory_order_relaxed);
     sh.count.store(idx + 1, std::memory_order_release);
-    if (dedup_) {
-      if ((idx + 1) * 8 >= sh.table.size() * 7) {
-        grow(sh);  // the rehash picks up the entry appended above
-      } else {
-        const size_t mask = sh.table.size() - 1;
-        size_t pos = (h >> kShardBits) & mask;
-        while (sh.table[pos] != 0) pos = (pos + 1) & mask;
-        sh.table[pos] = idx + 1;
-      }
+    if ((idx + 1) * 8 >= sh.table.size() * 7) {
+      grow(sh);  // the rehash picks up the entry appended above
+    } else {
+      const size_t mask = sh.table.size() - 1;
+      size_t pos = (h >> kShardBits) & mask;
+      while (sh.table[pos] != 0) pos = (pos + 1) & mask;
+      sh.table[pos] = idx + 1;
     }
     return makeId(idx, h);
   }
@@ -189,7 +181,6 @@ class StateInterner {
     }
   }
 
-  bool dedup_;
   std::array<Shard, kShardMask + 1> shards_;
   std::atomic<size_t> hits_{0};
   std::atomic<size_t> bytes_{0};

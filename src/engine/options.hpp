@@ -85,34 +85,6 @@ struct Options {
   /// ablation only and can make the search diverge.
   Extrapolation extrapolation = Extrapolation::kLocationLUPlus;
 
-  /// Inclusion checking in the passed/waiting list (vs exact equality).
-  bool inclusionChecking = true;
-
-  /// Hash-cons discrete states (location vector + variable valuation)
-  /// in a shared arena and key the passed store by the resulting dense
-  /// 32-bit ids. Off, every stored state keeps its own discrete copy —
-  /// the pre-interning storage profile, kept for ablation; verdicts and
-  /// stored-state counts are unchanged either way.
-  bool internStates = true;
-
-  /// Merge a newly inserted passed zone with a stored zone of the same
-  /// discrete state whenever their union is exactly convex (the
-  /// pointwise-max hull equals the set union — checked exactly, see
-  /// Dbm::tryConvexUnion). Fewer stored zones: covered() scans shorten
-  /// and memory drops, and because the merge is exact the covered
-  /// valuation set — hence the verdict — is unchanged. Stored/explored
-  /// counts may shrink, so the default stays off for count-sensitive
-  /// comparisons. Requires inclusion checking (or compactPassed, which
-  /// implies it); ignored under exact-equality dedup.
-  bool mergeZones = false;
-
-  /// Store passed zones in reduced "minimal constraint" form (the
-  /// paper's compact data-structure for constraints [9]): much smaller
-  /// per-zone memory, inclusion answered directly on the reduced form;
-  /// trades away subsumption-removal of previously stored zones.
-  /// Implies inclusion checking.
-  bool compactPassed = false;
-
   /// Worker threads. 1 = the sequential engines; > 1 selects a
   /// parallel explorer: level-synchronous BFS (chunked frontier queue +
   /// sharded passed store) for kBfs, work-stealing DFS for the

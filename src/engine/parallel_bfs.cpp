@@ -78,7 +78,7 @@ Result Reachability::runParallelBfs(const Goal& goal) {
   const search::Meter meter(opts_);
 
   StateInterner& interner = *interner_;
-  ShardedPassedStore passed(opts_.shardBits, opts_, interner);
+  ShardedPassedStore passed(opts_.shardBits, interner);
   std::deque<Node> arena;  // stable references: workers read, barrier appends
   std::vector<int64_t> frontier;
   size_t arenaBytes = 0;

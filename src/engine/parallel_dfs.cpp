@@ -112,7 +112,7 @@ Result Reachability::runParallelDfs(const Goal& goal) {
   const search::Meter meter(opts_);
 
   StateInterner& interner = *interner_;
-  ShardedPassedStore passed(opts_.shardBits, opts_, interner);
+  ShardedPassedStore passed(opts_.shardBits, interner);
   std::optional<BitTable> bits;
   if (opts_.bitstateHashing) bits.emplace(opts_.hashBits);
   // testAndSet / testAndInsert both query and mark, atomically enough

@@ -4,15 +4,10 @@
 // table: one linear-probing slot array (parallel hash/entry-index
 // vectors, so a probe walks a single cache stream) keyed by the
 // hash-consed discrete-state id from `StateInterner`, with each
-// bucket's zones held in one contiguous arena — raw row-major DBM
-// blocks in full mode, concatenated reduced ("minimal constraint")
-// edge lists in compact mode — so a covered() scan streams one buffer
-// instead of chasing per-zone heap allocations. Subsumption pruning is
-// symmetric in both representations (a newly inserted zone drops every
-// stored zone it covers), and with Options.mergeZones a new zone is
-// merged with a stored one whenever their union is exactly convex
-// (Dbm::tryConvexUnion), which preserves the covered valuation set
-// while shortening every later scan.
+// bucket's zones held in one contiguous `ZoneBatch` arena, so a
+// covered() scan streams one buffer instead of chasing per-zone heap
+// allocations. Subsumption pruning is symmetric: a newly inserted zone
+// drops every stored zone it covers.
 //
 // `BitTable` is Holzmann's two-bit bit-state hash table (untouched by
 // the flat-store rewrite). `ShardedPassedStore` wraps 2^shardBits
@@ -22,39 +17,24 @@
 // stays atomic under that shard's lock.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "dbm/dbm.hpp"
-#include "dbm/minimal.hpp"
 #include "dbm/zone_batch.hpp"
 #include "engine/interner.hpp"
-#include "engine/options.hpp"
 #include "engine/state.hpp"
 
 namespace engine {
 
 /// Passed/waiting store with zone-inclusion checking (UPPAAL's PWList).
-/// With `opts.compactPassed`, zones are held in reduced
-/// minimal-constraint form (the paper's compact data-structure option
-/// [9]). Discrete keys live in the interner; the store holds 32-bit
-/// ids and compares key values through it, so it works identically
-/// whether or not the interner deduplicates (Options.internStates).
+/// Discrete keys live in the interner; the store holds their 32-bit ids.
 class PassedStore {
  public:
-  PassedStore(const Options& opts, StateInterner& interner)
-      : inclusion_(opts.inclusionChecking || opts.compactPassed),
-        compact_(opts.compactPassed),
-        merge_(opts.mergeZones &&
-               (opts.inclusionChecking || opts.compactPassed)),
-        interner_(&interner) {}
+  explicit PassedStore(StateInterner& interner) : interner_(&interner) {}
 
   [[nodiscard]] bool covered(const DiscreteState& d, const dbm::Dbm& z) const {
     return coveredHashed(d, z, d.hash());
@@ -66,16 +46,8 @@ class PassedStore {
                                    uint64_t h) const {
     ++lookups_;
     const Entry* e = find(d, h);
-    if (e == nullptr) return false;
-    if (compact_) {
-      for (uint32_t k = 0; k < e->nzones; ++k) {
-        if (edgesInclude(edgeSpan(*e, k), z)) return true;
-      }
-      return false;
-    }
-    // Full mode: one SoA scan over the bucket's ZoneBatch.
-    return inclusion_ ? e->zones.anySuperset(z.rawData())
-                      : e->zones.containsEqual(z.rawData());
+    // One SoA scan over the bucket's ZoneBatch.
+    return e != nullptr && e->zones.anySuperset(z.rawData());
   }
 
   /// Insert the zone under the interned discrete state `did`. The
@@ -85,77 +57,40 @@ class PassedStore {
   }
 
   void insertHashed(uint32_t did, const dbm::Dbm& z, uint64_t h) {
-    if (dim_ == 0) dim_ = z.dimension();
-    assert(dim_ == z.dimension());
     Entry& e = findOrCreate(did, h);
-    if (compact_) {
-      insertCompact(e, z);
-    } else {
-      insertFull(e, z);
-    }
+    // Account the batch's buffer as held: growth slack and dead-lane
+    // prefix rows included (the buffer never shrinks).
+    const size_t heldBefore = e.zones.memoryBytes();
+    e.zones.init(z.dimension());
+    // Drop stored zones the new one subsumes (one SoA scan; swap-remove
+    // keeps the blocks dense).
+    zones_ -= e.zones.pruneSubsets(z.rawData());
+    e.zones.push(z);
+    ++zones_;
+    bytes_ += e.zones.memoryBytes() - heldBefore;
   }
 
   [[nodiscard]] size_t bytes() const noexcept { return bytes_; }
-  /// Stored zones (the engine's storedZones; merging and subsumption
-  /// pruning shrink it).
+  /// Stored zones (the engine's storedZones; subsumption pruning
+  /// shrinks it).
   [[nodiscard]] size_t states() const noexcept { return zones_; }
   /// Distinct discrete buckets in the table.
   [[nodiscard]] size_t entryCount() const noexcept { return entries_.size(); }
   [[nodiscard]] size_t lookups() const noexcept { return lookups_; }
   [[nodiscard]] size_t probeSteps() const noexcept { return probeSteps_; }
-  [[nodiscard]] size_t merges() const noexcept { return merges_; }
 
   [[nodiscard]] StateInterner& interner() const noexcept { return *interner_; }
 
  private:
   /// Estimated fixed cost of one discrete bucket beyond its vectors.
   static constexpr size_t kEntryOverhead = 32;
-  /// Compact-mode merging reconstructs O(n^3) per candidate, so only
-  /// the first few stored zones of a bucket are tried.
-  static constexpr uint32_t kCompactMergeCandidates = 4;
-  static constexpr int kMergeMaxPieces = 32;
 
   struct Entry {
     uint64_t hash = 0;
     uint32_t key = 0;  ///< intern id of the discrete part
-    uint32_t nzones = 0;
-    /// Full mode: the bucket's zones in SoA form (8-lane blocks).
+    /// The bucket's zones in SoA form (8-lane blocks).
     dbm::ZoneBatch zones;
-    /// Compact mode: concatenated reduced edge lists, delimited by moffs
-    /// (moffs[k] .. moffs[k+1] are zone k's edges; moffs.size() ==
-    /// nzones + 1).
-    std::vector<dbm::MinimalDbm::Entry> medges;
-    std::vector<uint32_t> moffs;
   };
-
-  [[nodiscard]] std::span<const dbm::MinimalDbm::Entry> edgeSpan(
-      const Entry& e, uint32_t k) const noexcept {
-    return {e.medges.data() + e.moffs[k], e.moffs[k + 1] - e.moffs[k]};
-  }
-
-  /// stored ⊇ z, answered exactly on the reduced form (the kept edges
-  /// dominate z's entries, whose own closure does the rest).
-  [[nodiscard]] static bool edgesInclude(
-      std::span<const dbm::MinimalDbm::Entry> edges,
-      const dbm::Dbm& z) noexcept {
-    for (const dbm::MinimalDbm::Entry& e : edges) {
-      if (e.bound < z.at(e.i, e.j)) return false;
-    }
-    return true;
-  }
-
-  /// Necessary condition for z ⊇ stored: z dominates every kept edge.
-  /// NOT sufficient — the closure of the kept edges can tighten entries
-  /// the edge list never mentions below z's — so callers must confirm
-  /// with an exact reconstruct-and-include check.
-  [[nodiscard]] static bool maybeSubsumedBy(
-      const dbm::Dbm& z,
-      std::span<const dbm::MinimalDbm::Entry> edges) noexcept {
-    for (const dbm::MinimalDbm::Entry& e : edges) {
-      if (z.at(e.i, e.j) < e.bound) return false;
-    }
-    return true;
-  }
 
   [[nodiscard]] const Entry* find(const DiscreteState& d, uint64_t h) const {
     if (entries_.empty()) return nullptr;
@@ -172,23 +107,20 @@ class PassedStore {
 
   [[nodiscard]] Entry& findOrCreate(uint32_t did, uint64_t h) {
     if ((entries_.size() + 1) * 8 >= slotEntry_.size() * 7) growTable();
-    const DiscreteState& d = interner_->get(did);
     const size_t mask = slotEntry_.size() - 1;
     size_t pos = h & mask;
     for (;; pos = (pos + 1) & mask) {
       ++probeSteps_;
       const uint32_t se = slotEntry_[pos];
       if (se == 0) break;
-      if (slotHash_[pos] == h && interner_->get(entries_[se - 1].key) == d) {
-        return entries_[se - 1];
-      }
+      // Equal states share one interned id.
+      if (entries_[se - 1].key == did) return entries_[se - 1];
     }
     slotHash_[pos] = h;
     slotEntry_[pos] = static_cast<uint32_t>(entries_.size()) + 1;
     Entry e;
     e.hash = h;
     e.key = did;
-    if (compact_) e.moffs.push_back(0);
     entries_.push_back(std::move(e));
     bytes_ += sizeof(Entry) + kEntryOverhead;
     return entries_.back();
@@ -209,103 +141,7 @@ class PassedStore {
     }
   }
 
-  void insertFull(Entry& e, const dbm::Dbm& z) {
-    // Account the batch's buffer as held: growth slack and dead-lane
-    // prefix rows included (the buffer never shrinks).
-    const size_t heldBefore = e.zones.memoryBytes();
-    e.zones.init(dim_);
-    const dbm::Dbm* add = &z;
-    dbm::Dbm merged(1);
-    for (bool again = true; again;) {
-      again = false;
-      if (inclusion_) {
-        // Drop stored zones the new one subsumes (one SoA scan;
-        // swap-remove keeps the blocks dense).
-        zones_ -= e.zones.pruneSubsets(add->rawData());
-      }
-      if (merge_) {
-        for (size_t k = 0; k < e.zones.size(); ++k) {
-          const dbm::Dbm stored = e.zones.zoneAt(k);
-          dbm::Dbm out(1);
-          if (dbm::Dbm::tryConvexUnion(stored, *add, &out, kMergeMaxPieces)) {
-            e.zones.swapRemove(k);
-            --zones_;
-            ++merges_;
-            merged = std::move(out);
-            add = &merged;
-            // The merged zone strictly grew: re-run pruning and give
-            // the remaining zones another merge chance.
-            again = true;
-            break;
-          }
-        }
-      }
-    }
-    e.zones.push(*add);
-    e.nzones = static_cast<uint32_t>(e.zones.size());
-    ++zones_;
-    bytes_ += e.zones.memoryBytes() - heldBefore;
-  }
-
-  void insertCompact(Entry& e, const dbm::Dbm& z) {
-    const dbm::Dbm* add = &z;
-    dbm::Dbm merged(1);
-    for (bool again = true; again;) {
-      again = false;
-      // Symmetric subsumption pruning: edgewise pre-filter, then exact
-      // confirmation on the reconstructed zone (see maybeSubsumedBy for
-      // why the filter alone would be unsound).
-      for (uint32_t k = 0; k < e.nzones;) {
-        if (maybeSubsumedBy(*add, edgeSpan(e, k)) &&
-            add->includes(dbm::MinimalDbm::reconstruct(dim_, edgeSpan(e, k)))) {
-          removeCompactZone(e, k);
-        } else {
-          ++k;
-        }
-      }
-      if (merge_) {
-        const uint32_t limit = std::min(e.nzones, kCompactMergeCandidates);
-        for (uint32_t k = 0; k < limit; ++k) {
-          const dbm::Dbm stored =
-              dbm::MinimalDbm::reconstruct(dim_, edgeSpan(e, k));
-          dbm::Dbm out(1);
-          if (dbm::Dbm::tryConvexUnion(stored, *add, &out, kMergeMaxPieces)) {
-            removeCompactZone(e, k);
-            ++merges_;
-            merged = std::move(out);
-            add = &merged;
-            again = true;
-            break;
-          }
-        }
-      }
-    }
-    const dbm::MinimalDbm red = dbm::MinimalDbm::from(*add);
-    e.medges.insert(e.medges.end(), red.entries().begin(),
-                    red.entries().end());
-    e.moffs.push_back(static_cast<uint32_t>(e.medges.size()));
-    ++e.nzones;
-    ++zones_;
-    bytes_ += red.size() * sizeof(dbm::MinimalDbm::Entry) + sizeof(uint32_t);
-  }
-
-  void removeCompactZone(Entry& e, uint32_t k) {
-    const uint32_t begin = e.moffs[k];
-    const uint32_t len = e.moffs[k + 1] - begin;
-    e.medges.erase(e.medges.begin() + begin,
-                   e.medges.begin() + e.moffs[k + 1]);
-    e.moffs.erase(e.moffs.begin() + k + 1);
-    for (size_t j = k + 1; j < e.moffs.size(); ++j) e.moffs[j] -= len;
-    --e.nzones;
-    --zones_;
-    bytes_ -= len * sizeof(dbm::MinimalDbm::Entry) + sizeof(uint32_t);
-  }
-
-  bool inclusion_;
-  bool compact_;
-  bool merge_;
   StateInterner* interner_;
-  uint32_t dim_ = 0;
 
   // Open-addressing slot arrays (parallel so probes stream one buffer;
   // power-of-two size, linear probing, grown at 7/8 load).
@@ -315,7 +151,6 @@ class PassedStore {
 
   size_t zones_ = 0;
   size_t bytes_ = 0;
-  size_t merges_ = 0;
   // Mutable: covered() is logically const; the sequential engines own
   // the store outright and the sharded wrapper serializes per shard.
   mutable size_t lookups_ = 0;
@@ -376,13 +211,12 @@ class BitTable {
 /// covered check, and the shard-then-interner lock order is acyclic.
 class ShardedPassedStore {
  public:
-  ShardedPassedStore(uint32_t shardBits, const Options& opts,
-                     StateInterner& interner)
+  ShardedPassedStore(uint32_t shardBits, StateInterner& interner)
       : interner_(&interner), mask_((size_t{1} << shardBits) - 1) {
     const size_t n = size_t{1} << shardBits;
     shards_.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      shards_.push_back(std::make_unique<Shard>(opts, interner));
+      shards_.push_back(std::make_unique<Shard>(interner));
     }
   }
 
@@ -399,9 +233,8 @@ class ShardedPassedStore {
     }
     if (sh.store.coveredHashed(s.d, s.zone, h)) return StateInterner::kNoId;
     const uint32_t id = interner_->intern(s.d, h);
-    // Subsumption pruning and merging may shrink the shard's byte
-    // count as well as grow it; fold the signed delta into the running
-    // total while still holding the lock.
+    // Fold the shard's byte delta into the running total while still
+    // holding the lock.
     const size_t before = sh.store.bytes();
     sh.store.insertHashed(id, s.zone, h);
     approxBytes_.fetch_add(sh.store.bytes() - before,
@@ -417,10 +250,8 @@ class ShardedPassedStore {
   [[nodiscard]] size_t probeSteps() const {
     return sum(&PassedStore::probeSteps);
   }
-  [[nodiscard]] size_t merges() const { return sum(&PassedStore::merges); }
 
-  /// Lock-free running byte total maintained by testAndInsert (unsigned
-  /// wraparound makes the shrink deltas of subsumption-removal exact).
+  /// Lock-free running byte total maintained by testAndInsert.
   /// The work-stealing DFS consults this on every expansion for its
   /// memory cut-off, where locking all shards via bytes() would
   /// serialize the workers.
@@ -438,8 +269,7 @@ class ShardedPassedStore {
  private:
   // One cache line per shard header so neighbouring locks don't false-share.
   struct alignas(64) Shard {
-    Shard(const Options& opts, StateInterner& interner)
-        : store(opts, interner) {}
+    explicit Shard(StateInterner& interner) : store(interner) {}
     mutable std::mutex m;
     PassedStore store;
   };

@@ -61,7 +61,7 @@ Result Reachability::run(const Goal& goal) {
   // Fresh discrete-state arena per run: the engine (and every worker
   // of a parallel one) interns into it and resolves the ids it stores
   // back through it.
-  interner_ = std::make_unique<StateInterner>(opts_.internStates);
+  interner_ = std::make_unique<StateInterner>();
   Result res;
   if (opts_.order != SearchOrder::kBfs) {
     res = opts_.threads > 1 ? runParallelDfs(goal) : runDfs(goal);
@@ -90,7 +90,7 @@ Result Reachability::runBfs(const Goal& goal) {
   Result res;
   const search::Meter meter(opts_);
   StateInterner& interner = *interner_;
-  PassedStore passed(opts_, interner);
+  PassedStore passed(interner);
 
   std::vector<Node> arena;
   std::deque<int64_t> waiting;
@@ -196,7 +196,7 @@ Result Reachability::runDfs(const Goal& goal) {
   Result res;
   const search::Meter meter(opts_);
   StateInterner& interner = *interner_;
-  PassedStore passed(opts_, interner);
+  PassedStore passed(interner);
   std::optional<BitTable> bits;
   if (opts_.bitstateHashing) bits.emplace(opts_.hashBits);
   std::mt19937_64 rng(opts_.seed);

@@ -84,8 +84,7 @@ class Reachability {
   /// Hash-consing arena for discrete states, created per run() and
   /// shared by every worker of that run. The engines' nodes/frames and
   /// the passed stores carry its 32-bit ids instead of DiscreteState
-  /// copies. With opts_.internStates off the arena is append-only (one
-  /// entry per stored state).
+  /// copies.
   std::unique_ptr<StateInterner> interner_;
 };
 

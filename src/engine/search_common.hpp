@@ -86,7 +86,6 @@ class Meter {
     st.storedZones = store.states();
     st.storeLookups = store.lookups();
     st.storeProbeSteps = store.probeSteps();
-    st.zonesMerged = store.merges();
     st.storeBytes = store.bytes();
     if constexpr (requires { store.lockContention(); }) {
       st.lockContention = store.lockContention();

@@ -31,16 +31,13 @@ struct Stats {
   Cutoff cutoff = Cutoff::kNone;
 
   // -- Storage engine (interner + flat passed store) --------------------
-  size_t statesInterned = 0;  ///< entries in the discrete-state arena
-                              ///< (distinct states under internStates)
+  size_t statesInterned = 0;  ///< distinct discrete states interned
   size_t internHits = 0;      ///< intern() calls answered by an existing
                               ///< entry — d-part copies avoided
   size_t internBytes = 0;     ///< bytes held by the interner arena
   size_t storeLookups = 0;    ///< covered() calls on the passed store
   size_t storeProbeSteps = 0;  ///< open-addressing probe steps across all
                                ///< lookups/inserts (mean = steps/lookups)
-  size_t zonesMerged = 0;     ///< stored zones absorbed by an exact
-                              ///< convex-union merge (mergeZones)
   size_t storeBytes = 0;      ///< bytes held by the passed store proper
                               ///< (excludes interner and search stack)
 

@@ -1,5 +1,6 @@
 #include "synthesis/schedule.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 
@@ -97,7 +98,6 @@ OptimizeResult optimizeMakespan(const ta::System& sys,
     int64_t lo = 0;
     int64_t hi = out.firstMakespan;
     engine::SymbolicTrace best = res0.trace;
-    bool cut = false;
     while (lo < hi) {
       const int64_t mid = lo + (hi - lo) / 2;
       engine::Goal probe = goal;
@@ -109,7 +109,11 @@ OptimizeResult optimizeMakespan(const ta::System& sys,
       out.stats.statesExplored += res.stats.statesExplored;
       out.stats.statesGenerated += res.stats.statesGenerated;
       out.stats.seconds += res.stats.seconds;
-      if (res.stats.cutoff != engine::Cutoff::kNone) cut = true;
+      out.stats.peakBytes = std::max(out.stats.peakBytes, res.stats.peakBytes);
+      // The first probe cut-off is kept; any one voids the optimum.
+      if (out.stats.cutoff == engine::Cutoff::kNone) {
+        out.stats.cutoff = res.stats.cutoff;
+      }
       if (res.reachable) {
         hi = mid;
         best = res.trace;
@@ -123,7 +127,7 @@ OptimizeResult optimizeMakespan(const ta::System& sys,
     // optimum.
     out.optimalMakespan = lo;
     out.cost = lo;
-    out.optimal = !cut;
+    out.optimal = out.stats.cutoff == engine::Cutoff::kNone;
     int64_t concrete = 0;
     if (makeSchedule(sys, best, &out.schedule, &concrete)) {
       out.optimalMakespan = concrete;

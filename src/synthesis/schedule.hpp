@@ -82,8 +82,9 @@ struct OptimizeResult {
   /// penalties (== optimalMakespan when no guides are set).
   int64_t cost = -1;
   Schedule schedule;  ///< concrete optimal schedule (projected)
-  /// Last / only optimizing run; for kBinary the probe totals are
-  /// accumulated into statesExplored/statesGenerated/seconds.
+  /// Last / only optimizing run. For kBinary the probes are folded in:
+  /// statesExplored/statesGenerated/seconds are their sums, peakBytes
+  /// their maximum, and cutoff the first probe cut-off (kNone if none).
   engine::Stats stats;
   size_t runs = 0;  ///< reachability probes (kBinary) or 1 (kBestFirst)
   /// Monotonically improving makespans in discovery order. For kBinary

@@ -1,12 +1,16 @@
 // Property-based DBM tests: random sequences of zone operations are
-// cross-checked against brute-force point sampling over a small grid.
+// cross-checked against brute-force point sampling over a small grid,
+// and inclusion against an exact integer-point oracle.
 #include <algorithm>
+#include <cstdint>
 #include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dbm/dbm.hpp"
+#include "dbm/simd.hpp"
+#include "dbm/zone_batch.hpp"
 
 namespace dbm {
 namespace {
@@ -288,6 +292,149 @@ TEST_P(DbmProperty, FreeClocksMatchesPerClockRule) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DbmProperty,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
+
+// -- Exact oracles over bounded zones ------------------------------------
+// Random bounded canonical DBMs with small constants, strict and
+// diagonal bounds included, are checked against Dbm::includes, against
+// brute-force enumeration of every integer clock valuation, and through
+// the ZoneBatch layout the passed store keeps its zones in:
+//
+//  * a ZoneBatch must hand every pushed zone back raw-for-raw;
+//  * its anySuperset scan must answer inclusion exactly as
+//    Dbm::includes does, on both dispatch levels;
+//  * for weak-bound zones both answers are cross-checked against the
+//    integer-point oracle: bounded DBMs are integral polytopes
+//    (difference constraints are totally unimodular), so "every integer
+//    point of b lies in a" is equivalent to real inclusion b ⊆ a. That
+//    checks includes() for completeness as well as soundness.
+//
+// The suite keeps the name it had when these properties checked the
+// reduced ("minimal form") store layout, so its test ids stay stable.
+
+constexpr value_t kMaxConst = 4;  // clock values range over 0..kMaxConst
+
+/// All integer valuations of `dim` clocks (reference clock pinned to 0,
+/// the others ranging over 0..kMaxConst).
+std::vector<std::vector<int64_t>> boundedGridPoints(uint32_t dim) {
+  std::vector<std::vector<int64_t>> pts{{std::vector<int64_t>(dim, 0)}};
+  for (uint32_t c = 1; c < dim; ++c) {
+    std::vector<std::vector<int64_t>> next;
+    for (const auto& p : pts) {
+      for (int64_t v = 0; v <= kMaxConst; ++v) {
+        auto q = p;
+        q[c] = v;
+        next.push_back(std::move(q));
+      }
+    }
+    pts = std::move(next);
+  }
+  return pts;
+}
+
+/// A random non-empty canonical zone, bounded so that every point lies
+/// on the enumeration grid: each clock is capped at kMaxConst and the
+/// extra random constraints use constants in [-kMaxConst, kMaxConst].
+Dbm randomBoundedZone(std::mt19937_64& rng, uint32_t dim, bool weakOnly) {
+  std::uniform_int_distribution<int> nCons(0, 5);
+  std::uniform_int_distribution<uint32_t> clock(0, dim - 1);
+  std::uniform_int_distribution<int> val(-kMaxConst, kMaxConst);
+  std::uniform_int_distribution<int> strict(0, 1);
+  for (;;) {
+    Dbm z = Dbm::unconstrained(dim);
+    bool ok = true;
+    for (uint32_t c = 1; c < dim && ok; ++c) {
+      ok = z.constrainUpper(c, kMaxConst, false);
+    }
+    const int n = nCons(rng);
+    for (int k = 0; k < n && ok; ++k) {
+      const uint32_t i = clock(rng);
+      uint32_t j = clock(rng);
+      if (i == j) j = (j + 1) % dim;
+      const bool s = !weakOnly && strict(rng) != 0;
+      ok = z.constrain(i, j, bound(val(rng), s));
+    }
+    if (ok && !z.isEmpty()) return z;
+  }
+}
+
+/// Does a batch holding only `a` cover `b`, under dispatch level `l`?
+bool batchCovers(const Dbm& a, const Dbm& b, simd::Level l) {
+  simd::forceLevel(l);
+  ZoneBatch batch(a.dimension());
+  batch.push(a);
+  const bool covers = batch.anySuperset(b.rawData());
+  simd::forceLevel(simd::detectedLevel());
+  return covers;
+}
+
+class MinimalOracle : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MinimalOracle, ReconstructRoundTripsExactly) {
+  std::mt19937_64 rng(GetParam());
+  for (const uint32_t dim : {3u, 4u}) {
+    // 40 zones fill five blocks, so every lane position is read back.
+    ZoneBatch batch(dim);
+    std::vector<Dbm> ref;
+    for (int iter = 0; iter < 40; ++iter) {
+      ref.push_back(randomBoundedZone(rng, dim, /*weakOnly=*/false));
+      batch.push(ref.back());
+    }
+    ASSERT_EQ(batch.size(), ref.size());
+    for (size_t k = 0; k < ref.size(); ++k) {
+      const Dbm back = batch.zoneAt(k);
+      ASSERT_EQ(back.dimension(), dim);
+      for (uint32_t i = 0; i < dim; ++i) {
+        for (uint32_t j = 0; j < dim; ++j) {
+          EXPECT_EQ(back.at(i, j), ref[k].at(i, j))
+              << "dim " << dim << " zone " << k << " entry (" << i << ","
+              << j << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST_P(MinimalOracle, InclusionMatchesFullDbm) {
+  std::mt19937_64 rng(GetParam());
+  for (const uint32_t dim : {3u, 4u}) {
+    for (int iter = 0; iter < 60; ++iter) {
+      const Dbm a = randomBoundedZone(rng, dim, /*weakOnly=*/false);
+      const Dbm b = randomBoundedZone(rng, dim, /*weakOnly=*/false);
+      for (const simd::Level l :
+           {simd::Level::kScalar, simd::detectedLevel()}) {
+        EXPECT_EQ(batchCovers(a, b, l), a.includes(b))
+            << simd::levelName(l) << " dim " << dim << " iter " << iter;
+        // A zone always covers itself, batched or not.
+        EXPECT_TRUE(batchCovers(a, a, l)) << simd::levelName(l);
+      }
+    }
+  }
+}
+
+TEST_P(MinimalOracle, WeakInclusionAgreesWithIntegerPointOracle) {
+  std::mt19937_64 rng(GetParam());
+  for (const uint32_t dim : {3u, 4u}) {
+    const auto pts = boundedGridPoints(dim);
+    for (int iter = 0; iter < 25; ++iter) {
+      const Dbm a = randomBoundedZone(rng, dim, /*weakOnly=*/true);
+      const Dbm b = randomBoundedZone(rng, dim, /*weakOnly=*/true);
+      bool allPointsIncluded = true;
+      for (const auto& p : pts) {
+        if (b.containsPoint(p) && !a.containsPoint(p)) {
+          allPointsIncluded = false;
+          break;
+        }
+      }
+      EXPECT_EQ(batchCovers(a, b, simd::detectedLevel()), allPointsIncluded)
+          << "dim " << dim << " iter " << iter;
+      EXPECT_EQ(a.includes(b), allPointsIncluded)
+          << "dim " << dim << " iter " << iter;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MinimalOracle,
+                         ::testing::Range<uint64_t>(1, 21));
 
 }  // namespace
 }  // namespace dbm

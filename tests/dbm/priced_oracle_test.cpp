@@ -1,10 +1,11 @@
 // Priced-zone cost semantics against a brute-force integer-point
-// oracle (the merge_oracle_test recipe): enumerate every integer
-// valuation of a bounding box, keep the ones inside the zone, and take
-// the cheapest. Zones built from weak integer constraints are integral
-// polyhedra, so the symbolic minima (AffineCost::minOver / minOverInt,
-// PricedDbm::minCost) must agree exactly with the enumerated minimum;
-// the strict-bound integer adjustment is pinned by deterministic cases.
+// oracle (the recipe of dbm_property_test's MinimalOracle): enumerate
+// every integer valuation of a bounding box, keep the ones inside the
+// zone, and take the cheapest. Zones built from weak integer
+// constraints are integral polyhedra, so the symbolic minima
+// (AffineCost::minOver / minOverInt, PricedDbm::minCost) must agree
+// exactly with the enumerated minimum; the strict-bound integer
+// adjustment is pinned by deterministic cases.
 #include <cstdint>
 #include <limits>
 #include <random>

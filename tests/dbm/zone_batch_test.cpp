@@ -1,8 +1,8 @@
 // ZoneBatch (the AoSoA passed-store arena) against the plain Dbm
-// operations it transposes: scans (anySuperset / containsEqual /
-// pruneSubsets) must agree with one-zone-at-a-time inclusion checks on
-// both the scalar and the vectorized dispatch path, and the batch must
-// hold memory for its live lanes only.
+// operations it transposes: scans (anySuperset / pruneSubsets) must
+// agree with one-zone-at-a-time inclusion checks on both the scalar and
+// the vectorized dispatch path, and the batch must hold memory for its
+// live lanes only.
 // Also the PR's Dbm special-member fixes: self-assignment and the
 // hash invalidation contract of the batch extraction API (assignRaw).
 #include <algorithm>
@@ -77,18 +77,13 @@ TEST_P(ZoneBatchTest, ScansAgreeWithPerZoneInclusion) {
     }
     for (int q = 0; q < 8; ++q) {
       // Mix fresh zones with exact copies of stored ones so the equal /
-      // superset / subset branches all trigger.
+      // superset / subset cases all occur.
       const Dbm query = (q % 3 == 0) ? ref[rng() % ref.size()]
                                      : randomZone(rng, dim, 5);
       const bool super = std::any_of(ref.begin(), ref.end(), [&](const Dbm& z) {
         return z.includes(query);
       });
-      const bool equal = std::any_of(ref.begin(), ref.end(), [&](const Dbm& z) {
-        return z == query;
-      });
       EXPECT_EQ(batch.anySuperset(query.rawData()), super)
-          << "seed " << seed << " query " << q;
-      EXPECT_EQ(batch.containsEqual(query.rawData()), equal)
           << "seed " << seed << " query " << q;
     }
   }
@@ -176,11 +171,7 @@ TEST_P(ZoneBatchTest, MemoryFollowsLiveLanes) {
     const bool super = std::any_of(ref.begin(), ref.end(), [&](const Dbm& z) {
       return z.includes(query);
     });
-    const bool equal = std::any_of(ref.begin(), ref.end(),
-                                   [&](const Dbm& z) { return z == query; });
     ASSERT_EQ(batch.anySuperset(query.rawData()), super) << "round " << round;
-    ASSERT_EQ(batch.containsEqual(query.rawData()), equal)
-        << "round " << round;
   }
   for (size_t i = 0; i < ref.size(); ++i) {
     ASSERT_EQ(batch.zoneAt(i), ref[i]) << "zone " << i;

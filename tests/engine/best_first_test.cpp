@@ -116,6 +116,8 @@ TEST(BestFirstDifferential, GuidedPlantMakespanMatchesBinarySearch) {
 
     ASSERT_TRUE(binary.feasible && binary.optimal) << batches << " batches";
     ASSERT_TRUE(best.feasible && best.optimal) << batches << " batches";
+    // The probes' peak memory is folded into the binary arm's stats.
+    EXPECT_GT(binary.stats.peakBytes, 0u) << batches << " batches";
     EXPECT_EQ(best.optimalMakespan, binary.optimalMakespan)
         << batches << " batches";
     EXPECT_EQ(best.cost, best.optimalMakespan) << batches << " batches";

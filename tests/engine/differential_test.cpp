@@ -2,15 +2,13 @@
 // timed-automata networks (binary and broadcast channels, urgent and
 // committed locations, strict and weak guards, nonzero reset values,
 // bounded integer-variable assignments), explored exhaustively under
-// every engine configuration — sequential BFS/DFS variants, parallel
+// 18 engine configurations — sequential BFS/DFS variants, parallel
 // BFS and work-stealing parallel DFS at 2 and 4 threads, crossed with
 // both zone-abstraction operators (kGlobalM / kLocationLUPlus, with and
-// without the active-clock reduction) and the storage-engine knobs
-// (discrete-state interning on/off, exact convex-union zone merging,
-// reduced-form zone layout). Config 0 — sequential BFS under kGlobalM —
-// is the oracle: all configurations must agree with it on
-// reachability, and every positive answer must concretize into a
-// validated timed trace.
+// without the active-clock reduction) and the optimizer levels.
+// Config 0 — sequential BFS under kGlobalM — is the oracle: all
+// configurations must agree with it on reachability, and every
+// positive answer must concretize into a validated timed trace.
 #include <gtest/gtest.h>
 
 #include "engine/reachability.hpp"
@@ -44,107 +42,65 @@ Options config(int kind) {
       o.order = SearchOrder::kRandomDfs;
       o.seed = 99;
       break;
-    case 4: o.inclusionChecking = false; break;
-    case 5: o.compactPassed = true; break;
-    case 6: o.activeClockReduction = false; break;
-    case 7:  // parallel BFS, small shard count
+    case 4: o.activeClockReduction = false; break;
+    case 5:  // parallel BFS, small shard count
       o.threads = 2;
       o.shardBits = 2;
       break;
-    case 8:  // parallel BFS, single shard (maximal lock contention)
+    case 6:  // parallel BFS, single shard (maximal lock contention)
       o.threads = 4;
       o.shardBits = 0;
       break;
-    case 9:
+    case 7:
       o.order = SearchOrder::kDfs;
       o.activeClockReduction = false;
-      o.inclusionChecking = false;
       break;
-    case 10:  // work-stealing DFS, 2 threads
+    case 8:  // work-stealing DFS, 2 threads
       o.order = SearchOrder::kDfs;
       o.threads = 2;
       o.shardBits = 2;
       break;
-    case 11:  // work-stealing random DFS, 4 threads
+    case 9:  // work-stealing random DFS, 4 threads
       o.order = SearchOrder::kRandomDfs;
       o.seed = 7;
       o.threads = 4;
       break;
-    case 12:  // work-stealing DFS over the reduced-form passed store
-      o.order = SearchOrder::kDfs;
-      o.threads = 2;
-      o.compactPassed = true;
-      break;
     // -- Extrapolation-mode matrix: global Extra_M under sequential
     //    DFS and both parallel engines, each checked against the
-    //    kGlobalM oracle (config 0). Configs 1-12 inherit the
+    //    kGlobalM oracle (config 0). Configs 1-9 inherit the
     //    kLocationLUPlus default, so the coarser operator is
     //    additionally exercised by every engine above.
-    case 13:
+    case 10:
       o.order = SearchOrder::kDfs;
       o.extrapolation = Extrapolation::kGlobalM;
       break;
-    case 14:  // global-M under the parallel BFS explorer
-      o.extrapolation = Extrapolation::kGlobalM;
-      o.threads = 2;
-      o.shardBits = 2;
-      break;
-    case 15:  // global-M under the work-stealing DFS explorer
-      o.order = SearchOrder::kDfs;
+    case 11:  // global-M under the parallel BFS explorer
       o.extrapolation = Extrapolation::kGlobalM;
       o.threads = 2;
       o.shardBits = 2;
       break;
-    case 16:  // LU+ without the active-clock reduction
-      o.extrapolation = Extrapolation::kLocationLUPlus;
-      o.activeClockReduction = false;
-      break;
-    case 17:  // LU+ with exact-equality dedup (no zone inclusion)
+    case 12:  // global-M under the work-stealing DFS explorer
       o.order = SearchOrder::kDfs;
-      o.extrapolation = Extrapolation::kLocationLUPlus;
-      o.inclusionChecking = false;
-      break;
-    // -- Storage-engine matrix: interning off (append-only arena) and
-    //    exact convex-union merging on, alone and combined, across
-    //    sequential and parallel engines and both zone layouts.
-    case 18:  // BFS without discrete-state interning
-      o.internStates = false;
-      break;
-    case 19:  // BFS with convex-union zone merging
-      o.mergeZones = true;
-      break;
-    case 20:  // work-stealing DFS with merging, sharded store
-      o.order = SearchOrder::kDfs;
+      o.extrapolation = Extrapolation::kGlobalM;
       o.threads = 2;
       o.shardBits = 2;
-      o.mergeZones = true;
-      break;
-    case 21:  // DFS, interning off + merging on
-      o.order = SearchOrder::kDfs;
-      o.internStates = false;
-      o.mergeZones = true;
-      break;
-    case 22:  // reduced-form store with merging, interning off
-      o.compactPassed = true;
-      o.mergeZones = true;
-      o.internStates = false;
       break;
     // -- Optimizer matrix: every engine family at optLevel 0 (model
     //    explored exactly as built) against the default optLevel 2 of
-    //    configs 1-22, plus the intermediate level 1 pipeline.
-    case 23:  // sequential BFS, LU+ default, optimizer off
+    //    configs 1-12, plus the intermediate level 1 pipeline.
+    case 13:  // sequential BFS, LU+ default, optimizer off
       o.optLevel = 0;
       break;
-    case 24:  // sequential DFS, optimizer off
+    case 14:  // sequential DFS, optimizer off
       o.order = SearchOrder::kDfs;
       o.optLevel = 0;
       break;
-    case 25:  // parallel BFS, optimizer off
+    case 15:  // parallel BFS, optimizer off
       o.threads = 2;
       o.shardBits = 2;
       o.optLevel = 0;
       break;
-    case 26:  // work-stealing DFS, optimizer off
+    case 16:  // work-stealing DFS, optimizer off
       o.order = SearchOrder::kDfs;
       o.threads = 2;
       o.optLevel = 0;
@@ -156,7 +112,7 @@ Options config(int kind) {
   return o;
 }
 
-constexpr int kNumConfigs = 28;
+constexpr int kNumConfigs = 18;
 
 class Differential : public ::testing::TestWithParam<uint64_t> {};
 

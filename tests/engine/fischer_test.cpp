@@ -98,14 +98,6 @@ TEST(Fischer, AllSearchOrdersAgree) {
   }
 }
 
-TEST(Fischer, CompactStoreAgrees) {
-  Fischer holds(3, 2, 3);
-  Options o;
-  o.compactPassed = true;
-  o.maxSeconds = 60.0;
-  EXPECT_FALSE(holds.violationReachable(o));
-}
-
 TEST(Fischer, ViolationWitnessConcretizes) {
   Fischer broken(2, 3, 2);
   Goal bad;

@@ -258,20 +258,6 @@ TEST(ParallelDfs, WorkStealingSingleShardStillCorrect) {
   }
 }
 
-TEST(ParallelDfs, CompactStoreParallelDfsAgrees) {
-  // The reduced-form store exercises the concurrent subsumption-free
-  // insert path under the shard locks.
-  for (const size_t t : kThreadCounts) {
-    Fischer m(4, 2, 3);
-    Options o = dfsOptions(t);
-    o.compactPassed = true;
-    Reachability checker(m.sys, o);
-    const Result res = checker.run(m.violation());
-    EXPECT_FALSE(res.reachable) << t << " threads";
-    EXPECT_TRUE(res.exhausted) << t << " threads";
-  }
-}
-
 TEST(ParallelDfs, BitstateParallelDfsFindsViolation) {
   // Shared atomic bit table: a positive verdict is still conclusive and
   // must validate; negatives stay inconclusive (exhausted == false).

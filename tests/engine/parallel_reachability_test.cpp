@@ -208,17 +208,5 @@ TEST(ParallelReachability, SingleShardStillCorrect) {
   }
 }
 
-TEST(ParallelReachability, CompactStoreParallelAgrees) {
-  for (const size_t t : kThreadCounts) {
-    Fischer m(4, 2, 3);
-    Options o = bfsOptions(t);
-    o.compactPassed = true;
-    Reachability checker(m.sys, o);
-    const Result res = checker.run(m.violation());
-    EXPECT_FALSE(res.reachable) << t << " threads";
-    EXPECT_TRUE(res.exhausted) << t << " threads";
-  }
-}
-
 }  // namespace
 }  // namespace engine

@@ -1,5 +1,5 @@
 // Tests of the engine's search configurations: BFS / DFS / randomized
-// DFS / bit-state hashing, inclusion checking, reductions, cut-offs.
+// DFS / bit-state hashing, reductions, cut-offs.
 #include <gtest/gtest.h>
 
 #include "engine/best_first.hpp"
@@ -154,25 +154,6 @@ TEST(SearchOptions, TinyHashTableCanPruneTheGoal) {
   Reachability checker(g.sys, o);
   const Result res = checker.run(g.corner());
   EXPECT_FALSE(res.exhausted);
-}
-
-TEST(SearchOptions, InclusionOffStillCorrect) {
-  Grid g;
-  Options o;
-  o.inclusionChecking = false;
-  Reachability checker(g.sys, o);
-  EXPECT_TRUE(checker.run(g.corner()).reachable);
-}
-
-TEST(SearchOptions, InclusionReducesStoredStates) {
-  const auto storedWith = [](bool inclusion) {
-    Grid g;
-    Options o;
-    o.inclusionChecking = inclusion;
-    Reachability checker(g.sys, o);
-    return checker.run(g.unreachable()).stats.storedZones;
-  };
-  EXPECT_LE(storedWith(true), storedWith(false));
 }
 
 TEST(SearchOptions, TimeCutoffReported) {

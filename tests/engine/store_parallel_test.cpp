@@ -1,8 +1,7 @@
 // Concurrency tests for the storage engine: many threads hammering one
 // ShardedPassedStore (and through it the shared StateInterner), plus
-// parallel-engine runs on the batch plant with interning on — the
-// configurations the TSan stage replays to certify the lock-free
-// interner reads.
+// parallel-engine runs on the batch plant — the configurations the
+// TSan stage replays to certify the lock-free interner reads.
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -39,9 +38,8 @@ TEST(StoreParallel, OverlappingInsertsConvergeToOneZonePerState) {
   const int kStates = 256;
   const int kRadii = 6;
   const unsigned nThreads = std::max(2u, std::thread::hardware_concurrency());
-  StateInterner interner(true);
-  Options opts;
-  ShardedPassedStore store(4, opts, interner);
+  StateInterner interner;
+  ShardedPassedStore store(4, interner);
   std::atomic<size_t> accepted{0};
 
   std::vector<std::thread> pool;
@@ -90,9 +88,8 @@ TEST(StoreParallel, DisjointInsertsAllLand) {
   // every inserted state must be present afterwards.
   const int kPerThread = 500;
   const unsigned nThreads = 4;
-  StateInterner interner(true);
-  Options opts;
-  ShardedPassedStore store(2, opts, interner);
+  StateInterner interner;
+  ShardedPassedStore store(2, interner);
 
   std::vector<std::thread> pool;
   for (unsigned t = 0; t < nThreads; ++t) {
@@ -120,13 +117,12 @@ TEST(StoreParallel, SharedInternerAcrossStores) {
   // Per-worker PassedStores over one interner: concurrent interning of
   // the same states must dedupe to one arena entry each.
   const unsigned nThreads = 4;
-  StateInterner interner(true);
-  Options opts;
+  StateInterner interner;
   std::vector<std::thread> pool;
   std::vector<size_t> stored(nThreads, 0);
   for (unsigned t = 0; t < nThreads; ++t) {
     pool.emplace_back([&, t] {
-      PassedStore mine(opts, interner);
+      PassedStore mine(interner);
       for (int k = 0; k < 300; ++k) {
         const DiscreteState d = ds(k, 3 * k);
         if (!mine.covered(d, interval(0, 2))) {
@@ -154,30 +150,26 @@ TEST(StoreParallel, ParallelEnginesMatchSequentialOnPlant) {
   const Result rs = sref.run(ps->goal);
   ASSERT_TRUE(rs.reachable);
 
-  for (const bool merge : {false, true}) {
-    // Level-synchronous parallel BFS: verdict and explored count match
-    // the sequential engine by construction.
-    Options pbfs = seq;
-    pbfs.threads = 4;
-    pbfs.shardBits = 3;
-    pbfs.mergeZones = merge;
-    const auto p1 = plant::buildPlant(cfg);
-    Reachability a(p1->sys, pbfs);
-    const Result ra = a.run(p1->goal);
-    EXPECT_EQ(ra.reachable, rs.reachable) << "merge=" << merge;
-    EXPECT_GT(ra.stats.statesInterned, 0u);
+  // Level-synchronous parallel BFS: verdict and explored count match
+  // the sequential engine by construction.
+  Options pbfs = seq;
+  pbfs.threads = 4;
+  pbfs.shardBits = 3;
+  const auto p1 = plant::buildPlant(cfg);
+  Reachability a(p1->sys, pbfs);
+  const Result ra = a.run(p1->goal);
+  EXPECT_EQ(ra.reachable, rs.reachable);
+  EXPECT_GT(ra.stats.statesInterned, 0u);
 
-    // Work-stealing parallel DFS: verdict must match.
-    Options pdfs = seq;
-    pdfs.order = SearchOrder::kDfs;
-    pdfs.threads = 4;
-    pdfs.shardBits = 3;
-    pdfs.mergeZones = merge;
-    const auto p2 = plant::buildPlant(cfg);
-    Reachability b(p2->sys, pdfs);
-    const Result rb = b.run(p2->goal);
-    EXPECT_EQ(rb.reachable, rs.reachable) << "merge=" << merge;
-  }
+  // Work-stealing parallel DFS: verdict must match.
+  Options pdfs = seq;
+  pdfs.order = SearchOrder::kDfs;
+  pdfs.threads = 4;
+  pdfs.shardBits = 3;
+  const auto p2 = plant::buildPlant(cfg);
+  Reachability b(p2->sys, pdfs);
+  const Result rb = b.run(p2->goal);
+  EXPECT_EQ(rb.reachable, rs.reachable);
 }
 
 }  // namespace

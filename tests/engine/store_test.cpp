@@ -1,8 +1,7 @@
 // Unit tests for the storage engine: the hash-consing StateInterner,
-// the flat open-addressing PassedStore (full and reduced-form zone
-// layouts, symmetric subsumption pruning, convex-union merging) and the
-// ShardedPassedStore wrapper, plus end-to-end equivalence of the
-// interning/merging knobs on the batch plant.
+// the flat open-addressing PassedStore (symmetric subsumption pruning,
+// byte accounting, table growth) and the ShardedPassedStore wrapper,
+// plus the store counters of a search on the batch plant.
 #include <set>
 #include <vector>
 
@@ -32,7 +31,7 @@ dbm::Dbm interval(int lo, int hi) {
 }
 
 TEST(Interner, DedupSharesOneEntry) {
-  StateInterner in(true);
+  StateInterner in;
   const DiscreteState a = ds({0, 1}, {7});
   const uint32_t id1 = in.intern(a);
   const uint32_t id2 = in.intern(ds({0, 1}, {7}));
@@ -47,21 +46,10 @@ TEST(Interner, DedupSharesOneEntry) {
   EXPECT_EQ(in.hashOf(id3), ds({0, 2}, {7}).hash());
 }
 
-TEST(Interner, AppendOnlyWithoutDedup) {
-  StateInterner in(false);
-  const uint32_t id1 = in.intern(ds({3}, {1}));
-  const uint32_t id2 = in.intern(ds({3}, {1}));
-  // Ids name insertion events: same value, distinct entries.
-  EXPECT_NE(id1, id2);
-  EXPECT_EQ(in.size(), 2u);
-  EXPECT_EQ(in.hits(), 0u);
-  EXPECT_EQ(in.get(id1), in.get(id2));
-}
-
 TEST(Interner, TableGrowthKeepsRoundTrips) {
   // Enough states to force several table rehashes and chunk
   // allocations in every shard.
-  StateInterner in(true);
+  StateInterner in;
   std::vector<uint32_t> ids;
   const int n = 50000;
   ids.reserve(static_cast<size_t>(n));
@@ -81,12 +69,11 @@ TEST(Interner, TableGrowthKeepsRoundTrips) {
 
 class StoreTest : public ::testing::Test {
  protected:
-  StateInterner interner_{true};
-  Options opts_;
+  StateInterner interner_;
 };
 
 TEST_F(StoreTest, CoveredAnswersInclusion) {
-  PassedStore store(opts_, interner_);
+  PassedStore store(interner_);
   const DiscreteState d = ds({0, 0}, {1});
   store.insert(interner_.intern(d), interval(0, 5));
   EXPECT_TRUE(store.covered(d, interval(1, 3)));
@@ -100,7 +87,7 @@ TEST_F(StoreTest, CoveredAnswersInclusion) {
 }
 
 TEST_F(StoreTest, InsertPrunesSubsumedZonesFullLayout) {
-  PassedStore store(opts_, interner_);
+  PassedStore store(interner_);
   const uint32_t id = interner_.intern(ds({0}, {}));
   store.insert(id, interval(1, 3));
   store.insert(id, interval(5, 6));
@@ -111,6 +98,7 @@ TEST_F(StoreTest, InsertPrunesSubsumedZonesFullLayout) {
   EXPECT_EQ(store.states(), 1u);
   EXPECT_LE(store.bytes(), bytesBefore);
   EXPECT_TRUE(store.covered(interner_.get(id), interval(1, 3)));
+  EXPECT_FALSE(store.covered(interner_.get(id), interval(0, 9)));
 }
 
 TEST_F(StoreTest, BytesCountWhatTheBatchHolds) {
@@ -124,7 +112,7 @@ TEST_F(StoreTest, BytesCountWhatTheBatchHolds) {
     EXPECT_TRUE(z.constrain(1, 0, dbm::boundWeak(hi)));
     return z;
   };
-  PassedStore store(opts_, interner_);
+  PassedStore store(interner_);
   const uint32_t id = interner_.intern(ds({0}, {}));
   dbm::ZoneBatch mirror(dim);
   std::vector<size_t> overhead;
@@ -149,88 +137,8 @@ TEST_F(StoreTest, BytesCountWhatTheBatchHolds) {
   for (const size_t o : overhead) EXPECT_EQ(o, overhead[0]);
 }
 
-TEST_F(StoreTest, InsertPrunesSubsumedZonesCompactLayout) {
-  // The reduced-form store must prune symmetrically too (a new zone
-  // drops the stored zones it covers) — this was one-directional
-  // before the flat-store rewrite.
-  opts_.compactPassed = true;
-  PassedStore store(opts_, interner_);
-  const uint32_t id = interner_.intern(ds({0}, {}));
-  store.insert(id, interval(1, 3));
-  store.insert(id, interval(5, 6));
-  EXPECT_EQ(store.states(), 2u);
-  store.insert(id, interval(0, 8));
-  EXPECT_EQ(store.states(), 1u);
-  EXPECT_TRUE(store.covered(interner_.get(id), interval(5, 6)));
-  EXPECT_FALSE(store.covered(interner_.get(id), interval(0, 9)));
-}
-
-TEST_F(StoreTest, MergesAdjacentZones) {
-  opts_.mergeZones = true;
-  PassedStore store(opts_, interner_);
-  const uint32_t id = interner_.intern(ds({0}, {}));
-  store.insert(id, interval(0, 2));
-  store.insert(id, interval(2, 5));
-  EXPECT_EQ(store.states(), 1u);
-  EXPECT_EQ(store.merges(), 1u);
-  // The merged zone covers the exact union.
-  EXPECT_TRUE(store.covered(interner_.get(id), interval(0, 5)));
-}
-
-TEST_F(StoreTest, MergeChainsAcrossStoredZones) {
-  opts_.mergeZones = true;
-  PassedStore store(opts_, interner_);
-  const uint32_t id = interner_.intern(ds({0}, {}));
-  store.insert(id, interval(0, 2));
-  store.insert(id, interval(4, 6));
-  EXPECT_EQ(store.states(), 2u);  // disjoint: no merge possible
-  // [2,4] bridges the gap; the merge loop must absorb both neighbours.
-  store.insert(id, interval(2, 4));
-  EXPECT_EQ(store.states(), 1u);
-  EXPECT_EQ(store.merges(), 2u);
-  EXPECT_TRUE(store.covered(interner_.get(id), interval(0, 6)));
-}
-
-TEST_F(StoreTest, MergeRefusesNonConvexUnion) {
-  opts_.mergeZones = true;
-  PassedStore store(opts_, interner_);
-  const uint32_t id = interner_.intern(ds({0}, {}));
-  store.insert(id, interval(0, 1));
-  store.insert(id, interval(3, 5));
-  EXPECT_EQ(store.states(), 2u);
-  EXPECT_EQ(store.merges(), 0u);
-  // The gap (1,3) must not be covered — merging is exact, never a
-  // hull over-approximation.
-  EXPECT_FALSE(store.covered(interner_.get(id), interval(1, 3)));
-}
-
-TEST_F(StoreTest, MergesInCompactLayout) {
-  opts_.compactPassed = true;
-  opts_.mergeZones = true;
-  PassedStore store(opts_, interner_);
-  const uint32_t id = interner_.intern(ds({0}, {}));
-  store.insert(id, interval(0, 2));
-  store.insert(id, interval(2, 5));
-  EXPECT_EQ(store.states(), 1u);
-  EXPECT_EQ(store.merges(), 1u);
-  EXPECT_TRUE(store.covered(interner_.get(id), interval(0, 5)));
-  EXPECT_FALSE(store.covered(interner_.get(id), interval(0, 6)));
-}
-
-TEST_F(StoreTest, ExactEqualityModeStoresDistinctZones) {
-  opts_.inclusionChecking = false;
-  PassedStore store(opts_, interner_);
-  const uint32_t id = interner_.intern(ds({0}, {}));
-  store.insert(id, interval(0, 5));
-  EXPECT_TRUE(store.covered(interner_.get(id), interval(0, 5)));
-  // Equality dedup: a strictly smaller zone is NOT covered.
-  EXPECT_FALSE(store.covered(interner_.get(id), interval(1, 3)));
-  store.insert(id, interval(1, 3));
-  EXPECT_EQ(store.states(), 2u);
-}
-
 TEST_F(StoreTest, TableResizeStress) {
-  PassedStore store(opts_, interner_);
+  PassedStore store(interner_);
   const int n = 5000;
   for (int k = 0; k < n; ++k) {
     const uint32_t id = interner_.intern(ds({0}, {k}));
@@ -247,27 +155,9 @@ TEST_F(StoreTest, TableResizeStress) {
             store.lookups() * 8 + static_cast<size_t>(n) * 8);
 }
 
-TEST_F(StoreTest, WorksWithoutInternerDedup) {
-  // internStates off: ids name insertion events; the store's key
-  // comparison goes through the interner by value, so dedup of the
-  // buckets still works.
-  StateInterner plain(false);
-  PassedStore store(opts_, plain);
-  const uint32_t id1 = plain.intern(ds({0}, {1}));
-  store.insert(id1, interval(0, 5));
-  const uint32_t id2 = plain.intern(ds({0}, {1}));
-  EXPECT_NE(id1, id2);
-  EXPECT_TRUE(store.covered(plain.get(id2), interval(1, 2)));
-  store.insert(id2, interval(0, 9));
-  // Same discrete value: one bucket, subsumption pruned the old zone.
-  EXPECT_EQ(store.entryCount(), 1u);
-  EXPECT_EQ(store.states(), 1u);
-}
-
 TEST(ShardedStore, TestAndInsertReturnsIdOnceAndCoverageAfter) {
-  StateInterner interner(true);
-  Options opts;
-  ShardedPassedStore store(2, opts, interner);
+  StateInterner interner;
+  ShardedPassedStore store(2, interner);
   SymbolicState s{ds({0, 1}, {5}), interval(0, 5)};
   const uint32_t id = store.testAndInsert(s);
   ASSERT_NE(id, StateInterner::kNoId);
@@ -283,7 +173,7 @@ TEST(ShardedStore, TestAndInsertReturnsIdOnceAndCoverageAfter) {
   EXPECT_EQ(store.approxBytes(), store.bytes());
 }
 
-// --- End-to-end equivalence of the storage knobs on the batch plant ----
+// --- Store counters of a search on the batch plant -----------------------
 
 Result runPlant(int batches, const Options& o) {
   plant::PlantConfig cfg;
@@ -293,44 +183,20 @@ Result runPlant(int batches, const Options& o) {
   return checker.run(p->goal);
 }
 
+// Named for the interning on/off comparison it made while interning was
+// optional; its checks on the interned run are what stays.
 TEST(StorePlant, InternOnOffIdenticalSearch) {
-  Options on;
-  on.order = SearchOrder::kDfs;
-  on.dfsReverse = true;
-  on.maxSeconds = 60.0;
-  Options off = on;
-  off.internStates = false;
+  Options o;
+  o.order = SearchOrder::kDfs;
+  o.dfsReverse = true;
+  o.maxSeconds = 60.0;
 
-  const Result a = runPlant(2, on);
-  const Result b = runPlant(2, off);
+  const Result a = runPlant(2, o);
   ASSERT_TRUE(a.reachable);
-  ASSERT_TRUE(b.reachable);
-  // Interning changes representation only: identical search.
-  EXPECT_EQ(a.stats.statesExplored, b.stats.statesExplored);
-  EXPECT_EQ(a.stats.storedZones, b.stats.storedZones);
-  // With dedup the arena holds distinct discrete states and records
-  // hits; append-only holds one entry per intern call.
-  EXPECT_LE(a.stats.statesInterned, b.stats.statesInterned);
+  // The arena holds distinct discrete states and records re-intern hits.
   EXPECT_GT(a.stats.internHits, 0u);
-  EXPECT_EQ(b.stats.internHits, 0u);
   EXPECT_GT(a.stats.storeLookups, 0u);
   EXPECT_GT(a.stats.storeBytes, 0u);
-}
-
-TEST(StorePlant, MergingPreservesVerdictAndShrinksStore) {
-  Options plainOpts;
-  plainOpts.order = SearchOrder::kDfs;
-  plainOpts.dfsReverse = true;
-  plainOpts.maxSeconds = 60.0;
-  Options mergeOpts = plainOpts;
-  mergeOpts.mergeZones = true;
-
-  const Result plain = runPlant(3, plainOpts);
-  const Result merged = runPlant(3, mergeOpts);
-  ASSERT_TRUE(plain.reachable);
-  EXPECT_EQ(plain.reachable, merged.reachable);
-  // Exact merging can only reduce what is stored.
-  EXPECT_LE(merged.stats.storedZones, plain.stats.storedZones);
 }
 
 }  // namespace
