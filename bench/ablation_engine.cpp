@@ -49,6 +49,13 @@ void runRow(const char* name, int batches, engine::Options opts) {
 // visit the whole abstract zone graph).
 // ------------------------------------------------------------------
 
+/// Memory budget of every Fischer row: at least twice the largest
+/// accounted peak of a row that exhausts its space in the full run
+/// (Extra+_LU at N = 8, 1.5 GB; EXPERIMENTS.md, "Zone-abstraction
+/// operators"). Rows that cannot finish within their time budget grow
+/// until that budget or this one ends them.
+constexpr size_t kFischerMemoryBytes = size_t{4} << 30;
+
 engine::Result runFischer(int n, engine::Extrapolation ex, bool activeClocks,
                           double budget, size_t maxStates = 0) {
   const benchutil::Fischer f(n, /*d=*/2, /*k=*/3);
@@ -58,6 +65,7 @@ engine::Result runFischer(int n, engine::Extrapolation ex, bool activeClocks,
   o.activeClockReduction = activeClocks;
   o.maxSeconds = budget;
   o.maxStates = maxStates;
+  o.maxMemoryBytes = kFischerMemoryBytes;
   engine::Reachability checker(f.sys, o);
   return checker.run(f.mutexViolation());
 }
@@ -66,22 +74,23 @@ void fischerRow(const char* name, int n, engine::Extrapolation ex,
                 bool activeClocks, double budget, size_t globalStored) {
   const engine::Result res = runFischer(n, ex, activeClocks, budget);
   if (!res.exhausted) {
-    std::printf("  %-32s %10s %10s %10s %9s   (cutoff=%d)\n", name, "-", "-",
-                "-", "-", static_cast<int>(res.stats.cutoff));
+    std::printf("  %-32s %10s %10s %10s %9s %9.1f   (cutoff=%d)\n", name,
+                "-", "-", "-", "-", res.stats.peakMegabytes(),
+                static_cast<int>(res.stats.cutoff));
     return;
   }
   if (globalStored == 0) {
     // The global-M baseline itself hit a cutoff: no reference count.
-    std::printf("  %-32s %10zu %10zu %10.3f %9s\n", name,
+    std::printf("  %-32s %10zu %10zu %10.3f %9s %9.1f\n", name,
                 res.stats.statesExplored, res.stats.storedZones,
-                res.stats.seconds, "n/a");
+                res.stats.seconds, "n/a", res.stats.peakMegabytes());
   } else {
     const double red =
         100.0 * (1.0 - static_cast<double>(res.stats.storedZones) /
                            static_cast<double>(globalStored));
-    std::printf("  %-32s %10zu %10zu %10.3f %8.1f%%\n", name,
+    std::printf("  %-32s %10zu %10zu %10.3f %8.1f%% %9.1f\n", name,
                 res.stats.statesExplored, res.stats.storedZones,
-                res.stats.seconds, red);
+                res.stats.seconds, red, res.stats.peakMegabytes());
   }
   std::fflush(stdout);
 }
@@ -170,8 +179,8 @@ int main(int argc, char** argv) {
 
   std::printf("\nZone-abstraction operators on Fischer (D=2, K=3, "
               "exhaustive mutex proof, BFS):\n\n");
-  std::printf("  %-32s %10s %10s %10s %9s\n", "configuration", "explored",
-              "stored", "seconds", "vs glob");
+  std::printf("  %-32s %10s %10s %10s %9s %9s\n", "configuration",
+              "explored", "stored", "seconds", "vs glob", "peakMB");
   const int maxN = benchutil::quick() ? 7 : 9;
   const double fbudget = benchutil::quick() ? 60.0 : 300.0;
   for (int fn = 7; fn <= maxN; ++fn) {

@@ -152,11 +152,15 @@ class Dbm {
   /// x_i := x_j. Stays canonical.
   void copyClock(uint32_t i, uint32_t j);
 
-  /// Remove all constraints on every clock i with mask[i] != 0, except
-  /// x_i >= 0 (the active-clock reduction). One row-major pass; the
-  /// result equals freeing the clocks one at a time, in any order.
-  /// mask.size() == dimension() and mask[0] == 0. Stays canonical.
-  void freeClocks(std::span<const char> mask);
+  /// Re-express the zone over another clock list: clock k of the result
+  /// is clock from[k] of this zone, or, where from[k] < 0, a fresh clock
+  /// bounded only by x_k >= 0. from[0] == 0 (the reference clock stays
+  /// first). Dropping a clock is existential projection, and the
+  /// sub-matrix of a canonical DBM is its canonical projection; a fresh
+  /// clock's row is unbounded and its column repeats column 0 (what
+  /// freeing it would leave), so the result stays canonical. The
+  /// engine keeps each zone over its state's live clocks this way.
+  void remap(std::span<const int32_t> from);
 
   // -- Abstraction ------------------------------------------------------
 
@@ -238,6 +242,14 @@ class Dbm {
   /// atomic so concurrent readers of a shared (immutable) zone may race
   /// on it benignly; 0 doubles as the "not computed" sentinel.
   [[nodiscard]] size_t hash() const noexcept;
+
+  /// hash() of the wider zone this one is a projection of (see remap):
+  /// its clock c is this zone's clock slotOf[c], or, where slotOf[c] < 0,
+  /// a freed clock — row unbounded, column equal to column 0. The value
+  /// depends on the zone's content over the wider clocks only, not on
+  /// which of them this zone keeps or in which order. Not memoized.
+  [[nodiscard]] size_t hashExpanded(
+      std::span<const int32_t> slotOf) const noexcept;
 
   [[nodiscard]] bool operator==(const Dbm& other) const noexcept {
     return dim_ == other.dim_ && raw_ == other.raw_;

@@ -14,10 +14,11 @@ namespace engine {
 
 namespace {
 
-/// Integer-adjusted infimum of the cost clock (see dbm::PricedDbm):
-/// the smallest integer B for which the zone intersects cost <= B.
-int64_t intCostInf(const dbm::Dbm& z, ta::ClockId costClock) {
-  const dbm::raw_t lo = z.at(0, static_cast<uint32_t>(costClock));
+/// Integer-adjusted infimum of the cost clock, in zone slot `costSlot`
+/// (see dbm::PricedDbm): the smallest integer B for which the zone
+/// intersects cost <= B.
+int64_t intCostInf(const dbm::Dbm& z, uint32_t costSlot) {
+  const dbm::raw_t lo = z.at(0, costSlot);
   int64_t inf = -static_cast<int64_t>(dbm::boundValue(lo));
   if (dbm::isStrict(lo) && lo != dbm::kInfinity) ++inf;
   return inf;
@@ -25,7 +26,7 @@ int64_t intCostInf(const dbm::Dbm& z, ta::ClockId costClock) {
 
 struct Node {
   uint32_t did = 0;     ///< interned discrete state
-  dbm::Dbm zone;        ///< canonical, cost clock protected
+  dbm::Dbm zone;        ///< canonical, over did's live clocks
   int64_t offset = 0;   ///< accumulated soft-guide penalties
   int64_t g = 0;        ///< intCostInf(zone) + offset
   uint32_t parent = kNoParent;
@@ -116,8 +117,11 @@ BestFirstResult BestFirst::run(const Goal& goal) {
   res.stats.optSeconds = optSeconds;
 
   SuccessorGenerator gen(sys_, opts_);
-  gen.observeGoalConstraints(goal.clockConstraints);
-  gen.protectClock(costClock_);
+  // The goal's clocks and the cost clock stay live in every zone, each
+  // in one fixed slot for the whole run.
+  Goal local = goal;
+  local.clockConstraints = gen.observeGoalConstraints(goal.clockConstraints);
+  const uint32_t costSlot = gen.protectClock(costClock_);
 
   if (!targetsSet_) {
     targets_.assign(sys_.numAutomata(), {});
@@ -175,7 +179,22 @@ BestFirstResult BestFirst::run(const Goal& goal) {
 
   int64_t incumbent = incumbent0_ >= 0 ? incumbent0_ : -1;
   uint32_t goalNode = Node::kNoParent;
-  size_t zoneBytes = 0;
+  // The memory budget sees everything the search holds: the nodes with
+  // their zones and transitions, the liveness flags, the bucket map,
+  // the open heap and the interner. Heap bytes that are awkward to
+  // re-derive are tracked as they change.
+  size_t nodeHeapBytes = 0;  // zones and transition parts of the nodes
+  size_t bucketBytes = 0;    // the bucket vectors' buffers
+  constexpr size_t kBucketNodeBytes =
+      sizeof(std::pair<const uint32_t, std::vector<uint32_t>>) +
+      sizeof(void*);
+  const auto heldBytes = [&] {
+    return nodeHeapBytes + nodes.capacity() * sizeof(Node) +
+           alive.capacity() + expanded.capacity() +
+           buckets.bucket_count() * sizeof(void*) +
+           buckets.size() * kBucketNodeBytes + bucketBytes +
+           open.size() * sizeof(HeapEntry) + interner.bytes();
+  };
   size_t peakBytes = 0;
 
   const auto heuristic = [&](const DiscreteState& d) -> int64_t {
@@ -192,8 +211,7 @@ BestFirstResult BestFirst::run(const Goal& goal) {
   // incumbent (cost + offset <= incumbent - 1). False = prunable.
   const auto applyIncumbent = [&](dbm::Dbm& z, int64_t offset) -> bool {
     if (incumbent < 0) return true;
-    dbm::PricedDbm pz(std::move(z), static_cast<uint32_t>(costClock_),
-                      offset);
+    dbm::PricedDbm pz(std::move(z), costSlot, offset);
     const bool ok = pz.constrainCost(incumbent - 1) && !pz.empty();
     z = std::move(pz.zone());
     return ok;
@@ -221,27 +239,30 @@ BestFirstResult BestFirst::run(const Goal& goal) {
         // The zone is dead weight from here on: nothing consults a
         // displaced entry again (domination goes through the bucket,
         // the trace only needs locations and transitions).
-        zoneBytes -= nodes[si].zone.memoryBytes();
+        nodeHeapBytes -= nodes[si].zone.memoryBytes();
         nodes[si].zone = dbm::Dbm(1);
+        nodeHeapBytes += nodes[si].zone.memoryBytes();
         bucket[k] = bucket.back();
         bucket.pop_back();
       } else {
         ++k;
       }
     }
-    const int64_t g =
-        intCostInf(zone, costClock_) + offset;
+    const int64_t g = intCostInf(zone, costSlot) + offset;
     const int64_t h = heuristic(d);
     if (h >= ta::kUnreachableRemaining) return kNone;  // dead end
     const int64_t f = g + h;
     if (incumbent >= 0 && f >= incumbent) return kNone;
-    zoneBytes += zone.memoryBytes();
+    nodeHeapBytes += zone.memoryBytes() +
+                     via.parts.capacity() * sizeof(TransitionPart);
     const auto idx = static_cast<uint32_t>(nodes.size());
     nodes.emplace_back(did, std::move(zone), offset, g, parent,
                        std::move(via));
     alive.push_back(1);
     expanded.push_back(0);
+    const size_t bucketCap = bucket.capacity();
     bucket.push_back(idx);
+    bucketBytes += (bucket.capacity() - bucketCap) * sizeof(uint32_t);
     open.push(HeapEntry{f, g, idx});
     return {idx, f};
   };
@@ -270,7 +291,7 @@ BestFirstResult BestFirst::run(const Goal& goal) {
   Cutoff cut = Cutoff::kNone;
   uint32_t dive = Node::kNoParent;
   while (true) {
-    cut = meter.check(zoneBytes, res.stats.statesExplored);
+    cut = meter.check(heldBytes(), res.stats.statesExplored);
     if (cut != Cutoff::kNone) break;
 
     uint32_t cur = Node::kNoParent;
@@ -302,12 +323,12 @@ BestFirstResult BestFirst::run(const Goal& goal) {
 
     const DiscreteState& d = interner.get(nodes[cur].did);
 
-    if (goal.matches(sys_, d, nodes[cur].zone)) {
+    if (local.matches(sys_, d, nodes[cur].zone)) {
       // Goal cost: the zone's reachable cost minimum under the goal's
       // own clock constraints (none in the pure-makespan use).
       dbm::Dbm gz = nodes[cur].zone;
       bool ok = true;
-      for (const ta::ClockConstraint& cc : goal.clockConstraints) {
+      for (const ta::ClockConstraint& cc : local.clockConstraints) {
         if (!gz.constrain(static_cast<uint32_t>(cc.i),
                           static_cast<uint32_t>(cc.j), cc.bound)) {
           ok = false;
@@ -315,7 +336,7 @@ BestFirstResult BestFirst::run(const Goal& goal) {
         }
       }
       if (ok) {
-        const int64_t cost = intCostInf(gz, costClock_) + nodes[cur].offset;
+        const int64_t cost = intCostInf(gz, costSlot) + nodes[cur].offset;
         if (incumbent < 0 || cost < incumbent) {
           incumbent = cost;
           goalNode = cur;
@@ -348,7 +369,7 @@ BestFirstResult BestFirst::run(const Goal& goal) {
       }
     }
     dive = bestChild;
-    peakBytes = std::max(peakBytes, zoneBytes);
+    peakBytes = std::max(peakBytes, heldBytes());
   }
 
   if (goalNode != Node::kNoParent) {
@@ -361,8 +382,8 @@ BestFirstResult BestFirst::run(const Goal& goal) {
   meter.finish(res.stats, cut, gen, interner);
   res.stats.storedZones =
       static_cast<size_t>(std::count(alive.begin(), alive.end(), 1));
-  res.stats.bytesStored = zoneBytes;
-  res.stats.peakBytes = std::max(peakBytes, zoneBytes);
+  res.stats.bytesStored = heldBytes();
+  res.stats.peakBytes = std::max(peakBytes, res.stats.bytesStored);
   return res;
 }
 

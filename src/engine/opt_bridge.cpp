@@ -2,8 +2,6 @@
 
 #include <cstdint>
 
-#include "engine/successors.hpp"
-
 namespace engine::opt_bridge {
 
 ta::OptimizedModel optimizeForGoal(
@@ -53,7 +51,6 @@ SymbolicTrace backMapTrace(const ta::System& orig,
                            const SymbolicTrace& opt) {
   SymbolicTrace out;
   if (opt.steps.empty()) return out;
-  const uint32_t dim = orig.dbmDimension();
 
   DiscreteState cur;
   cur.vars = orig.initialVars();
@@ -61,34 +58,15 @@ SymbolicTrace backMapTrace(const ta::System& orig,
   for (size_t p = 0; p < orig.numAutomata(); ++p) {
     cur.locs.push_back(orig.automaton(static_cast<ta::ProcId>(p)).initial());
   }
-  dbm::Dbm prev = dbm::Dbm::zero(dim);
-  (void)conjoinInvariants(orig, cur.locs, prev);
-  out.steps.push_back(TraceStep{Transition{}, SymbolicState{cur, prev}});
+  out.steps.push_back(TraceStep{Transition{}, cur});
 
   for (size_t k = 1; k < opt.steps.size(); ++k) {
     Transition via;
     for (const TransitionPart& part : opt.steps[k].via.parts) {
       via.parts.push_back({part.proc, model.originOf(part.proc, part.edge)});
     }
-
-    // Exact forward zone, in the style of the concretizer's forward
-    // pass: delay (unless forbidden) under the previous invariants,
-    // the fired guards, then resets and the target invariants.
-    dbm::Dbm z = prev;
-    if (!delayForbidden(orig, cur.locs)) {
-      z.up();
-      (void)conjoinInvariants(orig, cur.locs, z);
-    }
-    for (const TransitionPart& part : via.parts) {
-      const ta::Edge& e =
-          orig.automaton(part.proc).edges()[static_cast<size_t>(part.edge)];
-      for (const ta::ClockConstraint& cc : e.clockGuard) {
-        (void)z.constrain(static_cast<uint32_t>(cc.i),
-                          static_cast<uint32_t>(cc.j), cc.bound);
-      }
-    }
     // Effects in the engine's (and validator's) order — per part:
-    // assignments observing earlier ones, resets, location move.
+    // assignments observing earlier ones, then the location move.
     for (const TransitionPart& part : via.parts) {
       const ta::Edge& e =
           orig.automaton(part.proc).edges()[static_cast<size_t>(part.edge)];
@@ -102,14 +80,9 @@ SymbolicTrace backMapTrace(const ta::System& orig,
         cur.vars[static_cast<size_t>(as.base + idx)] =
             static_cast<int32_t>(rhs);
       }
-      for (const ta::ClockReset& r : e.resets) {
-        z.reset(static_cast<uint32_t>(r.clock), r.value);
-      }
       cur.locs[static_cast<size_t>(part.proc)] = e.dst;
     }
-    (void)conjoinInvariants(orig, cur.locs, z);
-    out.steps.push_back(TraceStep{std::move(via), SymbolicState{cur, z}});
-    prev = std::move(z);
+    out.steps.push_back(TraceStep{std::move(via), cur});
   }
   return out;
 }

@@ -34,9 +34,10 @@ namespace engine::opt_bridge {
                            ta::OptimizedModel& model);
 
 /// Re-express an optimized-system trace on the original system: map
-/// each transition part to its original edge, replay the original
-/// discrete semantics for the location vectors and variable valuations,
-/// and rebuild exact forward zones in the original clock space.
+/// each transition part to its original edge and replay the original
+/// discrete semantics for the location vectors and variable valuations.
+/// Traces carry no zones, so the clock space needs no mapping:
+/// concretize derives exact zones on the original system itself.
 [[nodiscard]] SymbolicTrace backMapTrace(const ta::System& orig,
                                          const ta::OptimizedModel& model,
                                          const SymbolicTrace& opt);

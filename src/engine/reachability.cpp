@@ -56,17 +56,19 @@ Result Reachability::run(const Goal& goal) {
     if (res) return *std::move(res);
   }
 
-  // Clocks the goal observes must survive the reductions.
-  gen_.observeGoalConstraints(goal.clockConstraints);
+  // Clocks the goal observes must survive the reductions; the loops
+  // test the goal over the fixed slots those clocks hold in every zone.
+  Goal local = goal;
+  local.clockConstraints = gen_.observeGoalConstraints(goal.clockConstraints);
   // Fresh discrete-state arena per run: the engine (and every worker
   // of a parallel one) interns into it and resolves the ids it stores
   // back through it.
   interner_ = std::make_unique<StateInterner>();
   Result res;
   if (opts_.order != SearchOrder::kBfs) {
-    res = opts_.threads > 1 ? runParallelDfs(goal) : runDfs(goal);
+    res = opts_.threads > 1 ? runParallelDfs(local) : runDfs(local);
   } else {
-    res = opts_.threads > 1 ? runParallelBfs(goal) : runBfs(goal);
+    res = opts_.threads > 1 ? runParallelBfs(local) : runBfs(local);
   }
   // The pipeline ran but found nothing to rewrite; record its cost.
   res.stats.optSeconds = optSeconds;
@@ -203,7 +205,8 @@ Result Reachability::runDfs(const Goal& goal) {
 
   const auto covered = [&](const SymbolicState& s) {
     // testAndSet both queries and marks — call sites rely on that.
-    return bits ? bits->testAndSet(s) : passed.covered(s.d, s.zone);
+    return bits ? bits->testAndSet(s, gen_.fullWidthHash(s))
+                : passed.covered(s.d, s.zone);
   };
 
   std::vector<Frame> stack;
@@ -246,11 +249,10 @@ Result Reachability::runDfs(const Goal& goal) {
 
   const auto buildTrace = [&](const Successor* last) {
     for (const Frame& f : stack) {
-      res.trace.steps.push_back(
-          TraceStep{f.via, SymbolicState{interner.get(f.did), f.zone}});
+      res.trace.steps.push_back(TraceStep{f.via, interner.get(f.did)});
     }
     if (last != nullptr) {
-      res.trace.steps.push_back(TraceStep{last->via, last->state});
+      res.trace.steps.push_back(TraceStep{last->via, last->state.d});
     }
   };
 

@@ -22,6 +22,12 @@ namespace engine {
 /// with no discrete successor at all (after arbitrary delay) that still
 /// satisfy the other conditions — e.g. the batch plant's timelocks at
 /// the strictly-continuous caster.
+///
+/// Callers state clock constraints over the system's clocks. The
+/// engines test zones kept over live clocks, so each run re-indexes its
+/// copy of the goal once (SuccessorGenerator::observeGoalConstraints)
+/// to the fixed slots the goal's clocks hold in every zone; matches()
+/// reads constraints in whatever index space its zone uses.
 struct Goal {
   std::vector<std::pair<ta::ProcId, ta::LocId>> locations;
   ta::ExprRef predicate = ta::kNoExpr;
@@ -37,10 +43,12 @@ struct Goal {
 };
 
 /// One step of a symbolic trace: the transition fired (empty parts for
-/// the initial state) and the normalized symbolic state reached.
+/// the initial state) and the discrete state reached. Traces carry no
+/// zones: concretize re-derives exact full-width zones from the
+/// transitions, and everything else reads only `via` and `d`.
 struct TraceStep {
   Transition via;
-  SymbolicState state;
+  DiscreteState d;
 };
 
 struct SymbolicTrace {

@@ -140,13 +140,13 @@ class CutoffLatch {
   if (goal.deadlock || !goal.matches(sys, init)) return false;
   (void)interner.intern(init.d);
   res.reachable = true;
-  res.trace.steps.push_back(TraceStep{Transition{}, std::move(init)});
+  res.trace.steps.push_back(TraceStep{Transition{}, std::move(init.d)});
   return true;
 }
 
 /// Rebuild the witness that ends at chain link `leaf`: `nodeAt(link)`
-/// resolves a link to its node (with did, zone, via and parent), and the
-/// walk stops at `end`, the root's parent link.
+/// resolves a link to its node (with did, via and parent), and the walk
+/// stops at `end`, the root's parent link.
 template <class Link, class NodeAt>
 [[nodiscard]] SymbolicTrace traceFromChain(const StateInterner& interner,
                                            Link leaf,
@@ -155,8 +155,7 @@ template <class Link, class NodeAt>
   SymbolicTrace t;
   for (Link k = leaf; k != end; k = nodeAt(k).parent) {
     const auto& n = nodeAt(k);
-    t.steps.push_back(
-        TraceStep{n.via, SymbolicState{interner.get(n.did), n.zone}});
+    t.steps.push_back(TraceStep{n.via, interner.get(n.did)});
   }
   std::reverse(t.steps.begin(), t.steps.end());
   return t;

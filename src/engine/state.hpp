@@ -68,6 +68,8 @@ struct Transition {
   std::vector<TransitionPart> parts;
 };
 
+/// A discrete state and its zone. Zones the engine builds are kept
+/// over the live clocks of `d` only (SuccessorGenerator::layoutOf).
 struct SymbolicState {
   DiscreteState d;
   dbm::Dbm zone;
@@ -76,10 +78,12 @@ struct SymbolicState {
     return d.memoryBytes() + zone.memoryBytes();
   }
 
-  /// Combined hash of discrete part and zone (used by bit-state hashing).
-  [[nodiscard]] size_t fullHash() const noexcept {
+  /// Combined hash of the discrete part and a hash of the zone (used by
+  /// bit-state hashing). The engines pass the layout-independent zone
+  /// hash, SuccessorGenerator::fullWidthHash.
+  [[nodiscard]] size_t fullHash(size_t zoneHash) const noexcept {
     size_t h = d.hash();
-    h ^= zone.hash() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+    h ^= zoneHash + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
     return h;
   }
 
@@ -88,9 +92,9 @@ struct SymbolicState {
   /// different mixing of the zone hash, so (fullHash, fullHash2)
   /// collide together only for genuinely identical content — the
   /// property the two-bit bit-state scheme relies on.
-  [[nodiscard]] size_t fullHash2() const noexcept {
+  [[nodiscard]] size_t fullHash2(size_t zoneHash) const noexcept {
     size_t h = d.hash2();
-    size_t z = zone.hash() * 0xc2b2ae3d27d4eb4full;
+    size_t z = zoneHash * 0xc2b2ae3d27d4eb4full;
     z ^= z >> 33;
     h ^= z + 0x165667b19e3779f9ull + (h << 25) + (h >> 7);
     return h;

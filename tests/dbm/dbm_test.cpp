@@ -110,7 +110,10 @@ TEST(Dbm, FreeClockRemovesConstraints) {
   Dbm z = Dbm::zero(3);
   z.up();
   ASSERT_TRUE(z.constrainUpper(1, 3, false));
-  z.freeClocks(std::vector<char>{0, 1, 0});
+  // Drop x1, then bring it back fresh: only x1 >= 0 is left of it.
+  z.remap(std::vector<int32_t>{0, 2});
+  EXPECT_EQ(z.dimension(), 2u);
+  z.remap(std::vector<int32_t>{0, -1, 1});
   EXPECT_TRUE(z.containsPoint(std::vector<int64_t>{0, 100, 3}));
   EXPECT_FALSE(z.containsPoint(std::vector<int64_t>{0, -1, 3}));
 }

@@ -46,7 +46,8 @@ TEST(BitstateHash, SecondHashIsIndependentOfFirst) {
   std::unordered_map<size_t, std::vector<size_t>> byH1;  // h1 -> h2 list
   for (size_t i = 0; i < kStates; ++i) {
     const SymbolicState s = randomState(rng);
-    byH1[s.fullHash() & kMask].push_back(s.fullHash2() & kMask);
+    const size_t z = s.zone.hash();
+    byH1[s.fullHash(z) & kMask].push_back(s.fullHash2(z) & kMask);
   }
 
   size_t h1CollidingPairs = 0;
@@ -75,7 +76,8 @@ TEST(BitstateHash, FullHashesDifferOnTypicalStates) {
   size_t equal = 0;
   for (int i = 0; i < 200; ++i) {
     const SymbolicState s = randomState(rng);
-    if (s.fullHash() == s.fullHash2()) ++equal;
+    const size_t z = s.zone.hash();
+    if (s.fullHash(z) == s.fullHash2(z)) ++equal;
   }
   EXPECT_EQ(equal, 0u);
 }
@@ -84,8 +86,9 @@ TEST(BitstateHash, TestAndSetContract) {
   std::mt19937_64 rng(3);
   BitTable bt(16);
   const SymbolicState a = randomState(rng);
-  EXPECT_FALSE(bt.testAndSet(a));  // first visit: unseen, now marked
-  EXPECT_TRUE(bt.testAndSet(a));   // second visit: seen
+  const size_t z = a.zone.hash();
+  EXPECT_FALSE(bt.testAndSet(a, z));  // first visit: unseen, now marked
+  EXPECT_TRUE(bt.testAndSet(a, z));   // second visit: seen
 }
 
 TEST(BitstateHash, FalsePositiveRateIsSmall) {
@@ -98,7 +101,7 @@ TEST(BitstateHash, FalsePositiveRateIsSmall) {
   for (int i = 0; i < kInserts; ++i) {
     SymbolicState s = randomState(rng);
     s.d.vars.push_back(i);  // force distinctness
-    if (bt.testAndSet(s)) ++falsePositives;
+    if (bt.testAndSet(s, s.zone.hash())) ++falsePositives;
   }
   // Two independent probes at ~6% fill: expected rate well under 1%.
   EXPECT_LT(falsePositives, kInserts / 50);

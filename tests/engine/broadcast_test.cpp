@@ -69,7 +69,7 @@ TEST(Broadcast, DisabledReceiverDoesNotBlock) {
   EXPECT_EQ(res.trace.steps[1].via.parts.size(), 3u);
   // And receiver 1 stayed put.
   EXPECT_NE(res.trace.steps[1]
-                .state.d.locs[static_cast<size_t>(m.receivers[1])],
+                .d.locs[static_cast<size_t>(m.receivers[1])],
             m.heard[1]);
 }
 

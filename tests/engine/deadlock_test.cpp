@@ -28,7 +28,7 @@ TEST(Deadlock, TrivialSinkFound) {
     Reachability checker(sys, o);
     const Result res = checker.run(g);
     ASSERT_TRUE(res.reachable);
-    EXPECT_EQ(res.trace.steps.back().state.d.locs[0], sink);
+    EXPECT_EQ(res.trace.steps.back().d.locs[0], sink);
   }
 }
 
@@ -85,7 +85,7 @@ TEST(Deadlock, ConditionsStillApply) {
   Reachability checker(sys, Options{});
   const Result res = checker.run(g);
   ASSERT_TRUE(res.reachable);
-  EXPECT_EQ(res.trace.steps.back().state.d.locs[0], s2);
+  EXPECT_EQ(res.trace.steps.back().d.locs[0], s2);
 }
 
 TEST(Deadlock, PlantCasterTimelockReachableUnguided) {

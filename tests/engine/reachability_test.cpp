@@ -119,7 +119,7 @@ TEST(Reachability, BinarySyncFiresJointly) {
   EXPECT_EQ(res.trace.steps[1].via.parts.size(), 2u);
   // And the sender's assignment landed.
   EXPECT_EQ(res.trace.steps[1]
-                .state.d.vars[static_cast<size_t>(m.v)],
+                .d.vars[static_cast<size_t>(m.v)],
             42);
 }
 
