@@ -52,11 +52,13 @@ enum class Level : uint8_t {
 void forceLevel(Level l) noexcept;
 
 // -- Kernel-hit counters ---------------------------------------------------
-// Process-wide relaxed atomics, split by the path that served the
-// work. Ticked once per DBM-level operation (close, inclusion scan,
-// batch normalize...), NOT per row primitive — one fetch_add per O(n^2)
-// kernel would dominate the kernel itself. The engines snapshot the
-// counters around a run to report Stats.simdKernelOps / scalarKernelOps.
+// Split by the path that served the work. Ticked once per DBM-level
+// operation (close, inclusion scan, batch normalize...), NOT per row
+// primitive. Each thread counts on its own and adds its counts to the
+// process-wide totals when it exits; the getters return those totals
+// plus the calling thread's own counts. The engines snapshot them
+// around a run, after joining their workers, to report
+// Stats.simdKernelOps / scalarKernelOps.
 
 [[nodiscard]] size_t vectorOps() noexcept;
 [[nodiscard]] size_t scalarOps() noexcept;

@@ -67,7 +67,7 @@ class StateInterner {
         if (slot == 0) break;
         const Item& it = itemAt(sh, slot - 1);
         if (it.hash == h && it.d == d) {
-          hits_.fetch_add(1, std::memory_order_relaxed);
+          add(sh.hits, 1);
           return makeId(slot - 1, h);
         }
       }
@@ -95,13 +95,9 @@ class StateInterner {
   }
 
   /// intern() calls answered from an existing entry.
-  [[nodiscard]] size_t hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] size_t hits() const noexcept { return sum(&Shard::hits); }
 
-  [[nodiscard]] size_t bytes() const noexcept {
-    return bytes_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] size_t bytes() const noexcept { return sum(&Shard::bytes); }
 
  private:
   static constexpr uint32_t kShardBits = 4;
@@ -120,6 +116,11 @@ class StateInterner {
     std::mutex m;
     std::vector<uint32_t> table;  ///< local index + 1; 0 = empty
     std::atomic<uint32_t> count{0};
+    /// Written under `m`, read lock-free by hits() / bytes(). Kept per
+    /// shard, so threads interning into different shards never write
+    /// one counter.
+    std::atomic<size_t> hits{0};
+    std::atomic<size_t> bytes{0};
     std::array<std::atomic<Chunk*>, kMaxChunks> chunks{};
   };
 
@@ -148,12 +149,12 @@ class StateInterner {
     if (c == nullptr) {
       c = new Chunk();
       slot.store(c, std::memory_order_release);
-      bytes_.fetch_add(sizeof(Chunk), std::memory_order_relaxed);
+      add(sh.bytes, sizeof(Chunk));
     }
     Item& it = (*c)[idx & (kChunkSize - 1)];
     it.d = d;
     it.hash = h;
-    bytes_.fetch_add(d.memoryBytes(), std::memory_order_relaxed);
+    add(sh.bytes, d.memoryBytes());
     sh.count.store(idx + 1, std::memory_order_release);
     if ((idx + 1) * 8 >= sh.table.size() * 7) {
       grow(sh);  // the rehash picks up the entry appended above
@@ -170,8 +171,7 @@ class StateInterner {
     const size_t old = sh.table.size();
     const size_t next = old == 0 ? 256 : old * 2;
     sh.table.assign(next, 0);
-    bytes_.fetch_add((next - old) * sizeof(uint32_t),
-                     std::memory_order_relaxed);
+    add(sh.bytes, (next - old) * sizeof(uint32_t));
     const size_t mask = next - 1;
     const uint32_t n = sh.count.load(std::memory_order_relaxed);
     for (uint32_t k = 0; k < n; ++k) {
@@ -181,9 +181,21 @@ class StateInterner {
     }
   }
 
+  /// Bump a counter of a shard whose lock the caller holds.
+  static void add(std::atomic<size_t>& c, size_t v) noexcept {
+    c.store(c.load(std::memory_order_relaxed) + v, std::memory_order_relaxed);
+  }
+
+  [[nodiscard]] size_t sum(
+      std::atomic<size_t> Shard::*counter) const noexcept {
+    size_t n = 0;
+    for (const Shard& sh : shards_) {
+      n += (sh.*counter).load(std::memory_order_relaxed);
+    }
+    return n;
+  }
+
   std::array<Shard, kShardMask + 1> shards_;
-  std::atomic<size_t> hits_{0};
-  std::atomic<size_t> bytes_{0};
 };
 
 }  // namespace engine
