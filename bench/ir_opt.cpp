@@ -5,11 +5,10 @@
 // them.
 //
 // Workloads:
-//   fischer-n7        exhaustive mutex proof; the per-process
-//                     trying->waiting guard is implied by the trying
-//                     invariant, so guard simplification fires while
-//                     the zone graph itself is already minimal — the
-//                     honest "nothing to gain" baseline.
+//   fischer-n7        exhaustive mutex proof on a model with nothing
+//                     to remove: no pass fires and the optimized run
+//                     explores the model as built — the honest
+//                     "nothing to gain" baseline.
 //   fischer-instr     the same protocol carrying typical debugging
 //                     instrumentation: a bounded global event counter
 //                     (written on every edge, read by nothing) and a
@@ -174,7 +173,6 @@ void writeReport(const std::vector<WorkloadRow>& rows) {
       f << ", \"foldedExprs\": " << c.stats.foldedExprs
         << ", \"removedLocations\": " << c.stats.removedLocations
         << ", \"removedEdges\": " << c.stats.removedEdges
-        << ", \"simplifiedConstraints\": " << c.stats.simplifiedConstraints
         << ", \"elidedVars\": " << c.stats.elidedVars
         << ", \"unifiedClocks\": " << c.stats.unifiedClocks
         << ", \"optSeconds\": " << c.stats.optSeconds << "}";

@@ -3,7 +3,8 @@
 # ThreadSanitizer pass over the multi-threaded engine tests.
 #
 #   ci/run_checks.sh          # everything
-#   ci/run_checks.sh --fast   # skip the sanitizer builds (tier-1 + fuzz)
+#   ci/run_checks.sh --fast   # skip the sanitizer and assertions-on
+#                             # builds (tier-1 + fuzz)
 #
 # Stages:
 #   1. tier-1   — release build, full ctest (the ROADMAP gate);
@@ -65,6 +66,10 @@
 #                 with its correctness checks: the benchmark uses public
 #                 engine, synthesis and replan names that no other
 #                 stage compiles.
+#   9. asserts  — fresh build with assertions on (RelWithDebInfo
+#                 without -DNDEBUG), every test but the perf-smoke
+#                 gates: every other build defines NDEBUG, so this is
+#                 the only stage that runs the assert()s in src/.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -144,7 +149,7 @@ echo "== stage 8: pipeline benchmark build + one-second run =="
 python3 perfbench/run.py --workload all --seconds 1 --trace 0
 
 if [[ "$fast" == 1 ]]; then
-  echo "== stages 3-7b: sanitizers skipped (--fast) =="
+  echo "== stages 3-9: sanitizers and assertions-on build skipped (--fast) =="
   exit 0
 fi
 
@@ -231,5 +236,14 @@ echo "== stage 7b: replanning suites under ASan/UBSan =="
 ctest --test-dir build-asan --output-on-failure --no-tests=error \
   -R 'SnapshotCapture|SnapshotClassify|Lift\.|RelaxedConfig|ResumeRoundTrip|InitialClocks' \
   -j "$jobs"
+
+echo "== stage 9: assertions on (every test but the perf-smoke gates) =="
+# The perf-smoke gates are timing gates; they run on the release build
+# in stage 1.
+cmake -B build-assert -S . -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
+  >/dev/null
+cmake --build build-assert -j "$jobs"
+ctest --test-dir build-assert --output-on-failure --no-tests=error \
+  -LE perf-smoke -j "$jobs"
 
 echo "all checks passed"

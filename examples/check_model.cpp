@@ -65,7 +65,6 @@ void printStatsJson(std::ostream& os, size_t query, bool reachable,
      << ", \"foldedExprs\": " << s.foldedExprs
      << ", \"removedLocations\": " << s.removedLocations
      << ", \"removedEdges\": " << s.removedEdges
-     << ", \"simplifiedConstraints\": " << s.simplifiedConstraints
      << ", \"elidedVars\": " << s.elidedVars
      << ", \"unifiedClocks\": " << s.unifiedClocks
      << ", \"optSeconds\": " << s.optSeconds
@@ -89,7 +88,6 @@ std::string passSummary(const engine::Stats& s) {
   item(s.foldedExprs, "folded", "expr");
   item(s.removedLocations, "removed", "location");
   item(s.removedEdges, "removed", "edge");
-  item(s.simplifiedConstraints, "simplified", "constraint");
   item(s.elidedVars, "elided", "var");
   item(s.unifiedClocks, "unified", "clock");
   return out.str();

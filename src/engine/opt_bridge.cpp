@@ -27,7 +27,7 @@ ta::OptimizedModel optimizeForGoal(
       if (read[static_cast<size_t>(v)] != 0) pins.vars.push_back(v);
     }
   }
-  return ta::optimizeModel(sys, pins, ta::PassConfig::forLevel(optLevel));
+  return ta::optimizeModel(sys, pins, optLevel);
 }
 
 Goal mapGoal(const ta::System& orig, const Goal& goal,
@@ -91,7 +91,6 @@ void mergePassStats(Stats& st, const ta::PassStats& ps) {
   st.foldedExprs += ps.foldedExprs;
   st.removedLocations += ps.removedLocations;
   st.removedEdges += ps.removedEdges;
-  st.simplifiedConstraints += ps.simplifiedConstraints;
   st.elidedVars += ps.elidedVars;
   st.unifiedClocks += ps.unifiedClocks;
   st.optSeconds += ps.seconds;

@@ -114,11 +114,11 @@ struct Options {
   bool dfsReverse = false;
 
   /// Pre-exploration model optimization (ta/ir.hpp pass pipeline).
-  /// 0 = explore the model exactly as built; 1 = constant folding,
-  /// dead-location/edge elimination, guard simplification; 2 = all of
-  /// the above plus dead-store elision and clock unification. Verdicts
-  /// and witness traces are unchanged at every level (traces are mapped
-  /// back onto the original model); only search effort differs.
+  /// 0 = explore the model exactly as built; 1 = constant folding and
+  /// dead-location/edge elimination; 2 = both plus dead-store elision
+  /// and clock unification. Verdicts and witness traces are unchanged
+  /// at every level (traces are mapped back onto the original model);
+  /// only search effort differs.
   int optLevel = 2;
 
   // -- Cut-offs: a run exceeding any of these aborts with the matching

@@ -54,7 +54,6 @@ struct Stats {
   size_t foldedExprs = 0;            ///< constant-folding rewrites
   size_t removedLocations = 0;       ///< unreachable locations eliminated
   size_t removedEdges = 0;           ///< never-enabled/dangling edges cut
-  size_t simplifiedConstraints = 0;  ///< invariant-implied guard conjuncts
   size_t elidedVars = 0;             ///< variables whose stores were elided
   size_t unifiedClocks = 0;          ///< clocks merged into a representative
   double optSeconds = 0.0;           ///< wall time spent in the optimizer

@@ -136,8 +136,14 @@ class Builder {
     for (int32_t c = 0; c < kNumCranes; ++c) {
       pickdone_[c] = sys().addChannel("pickdone" + num(c));
       dropdone_[c] = sys().addChannel("dropdone" + num(c));
+      // STORAGE is exit-only: nothing is ever picked up there. It is
+      // the last position, so pick_[c][k] is valid for every other k.
+      static_assert(kOverStorage == kCranePositions - 1);
       for (int32_t k = 0; k < kCranePositions; ++k) {
-        pick_[c].push_back(sys().addChannel("pick" + num(c) + "_" + num(k)));
+        if (k != kOverStorage) {
+          pick_[c].push_back(
+              sys().addChannel("pick" + num(c) + "_" + num(k)));
+        }
         drop_[c].push_back(sys().addChannel("drop" + num(c) + "_" + num(k)));
       }
     }
@@ -180,12 +186,14 @@ class Builder {
       for (int32_t k = 0; k < kCranePositions; ++k) {
         empty.push_back(a.addLocation("e" + num(k)));
         full.push_back(a.addLocation("f" + num(k)));
-        rising.push_back(a.addLocation("rise" + num(k), false,
-                                       cfg_.bugNoLiftDelay));
-        lowering.push_back(a.addLocation("lower" + num(k)));
-        if (!cfg_.bugNoLiftDelay) {
-          a.setInvariant(rising.back(), {ccLe(cc, cfg_.cupdown)});
+        if (k != kOverStorage) {
+          rising.push_back(a.addLocation("rise" + num(k), false,
+                                         cfg_.bugNoLiftDelay));
+          if (!cfg_.bugNoLiftDelay) {
+            a.setInvariant(rising.back(), {ccLe(cc, cfg_.cupdown)});
+          }
         }
+        lowering.push_back(a.addLocation("lower" + num(k)));
         a.setInvariant(lowering.back(), {ccLe(cc, cfg_.cupdown)});
       }
       // Initial positions: crane 1 over T1_OUT, crane 2 over CAST_OUT.
@@ -272,8 +280,8 @@ class Builder {
                 .assignCellConst(cranereq_, other, kNumCranes, 1);
           }
         }
-        // Pickup / putdown handshakes.
-        if (cfg_.bugNoLiftDelay) {
+        // Pickup / putdown handshakes; STORAGE only takes putdowns.
+        if (k != kOverStorage && cfg_.bugNoLiftDelay) {
           // Error 1 variant: the lift takes no model time (rising is a
           // committed location), so a Move can be scheduled at the same
           // instant as the Pickup.
@@ -283,7 +291,7 @@ class Builder {
           sys().edge(p, rising[static_cast<size_t>(k)],
                      full[static_cast<size_t>(k)])
               .send(pickdone_[c]);
-        } else {
+        } else if (k != kOverStorage) {
           sys().edge(p, empty[static_cast<size_t>(k)],
                      rising[static_cast<size_t>(k)])
               .receive(pick_[c][static_cast<size_t>(k)])

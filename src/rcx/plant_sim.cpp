@@ -11,6 +11,13 @@ namespace rcx {
 
 namespace {
 
+/// One-way message latency in ticks.
+constexpr int64_t kLatencyTicks = 5;
+/// Cost of one VM instruction in ticks.
+constexpr int32_t kInstrTicks = 1;
+/// Hard stop of a run that never finishes.
+constexpr int64_t kMaxTicks = 200'000'000;
+
 struct InFlight {
   int64_t deliverAt;
   int32_t msgId;
@@ -61,13 +68,13 @@ SimResult runProgram(const synthesis::RcxProgram& program,
     if (copies.empty()) return;  // the ether ate it
     for (const Delivery& d : copies) {
       air.push_back(
-          InFlight{tick + opts.latencyTicks + d.extraTicks, msgId, false});
+          InFlight{tick + kLatencyTicks + d.extraTicks, msgId, false});
     }
   };
   host.readMessage = [&] { return centralMsgBuffer; };
   host.clearMessage = [&] { centralMsgBuffer = 0; };
 
-  RcxVm vm(program, host, opts.instrTicks);
+  RcxVm vm(program, host, kInstrTicks);
   if (opts.resume != nullptr) vm.startAt(opts.startTick);
 
   // Fatal-deviation detection state.
@@ -76,7 +83,7 @@ SimResult runProgram(const synthesis::RcxProgram& program,
   size_t errorsSeen = 0;
 
   int64_t tick = opts.resume != nullptr ? opts.startTick : 0;
-  for (; tick < opts.maxTicks; ++tick) {
+  for (; tick < kMaxTicks; ++tick) {
     // Crash processes first: a unit that dies at this tick loses its
     // pending traffic (commands still in the air toward it, acks it
     // already emitted) along with the command it was about to receive.
@@ -120,7 +127,7 @@ SimResult runProgram(const synthesis::RcxProgram& program,
       }
       // Acknowledge receipt (the return path is equally adversarial).
       for (const Delivery& d : chan.offer(/*towardCentral=*/true)) {
-        air.push_back(InFlight{tick + opts.latencyTicks + d.extraTicks,
+        air.push_back(InFlight{tick + kLatencyTicks + d.extraTicks,
                                m.msgId, true});
       }
     }

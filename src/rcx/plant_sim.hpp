@@ -36,16 +36,11 @@ struct SimOptions {
   /// legacy knob above is added on top).
   FaultPlan faults;
   uint64_t seed = 42;
-  /// One-way message latency in ticks.
-  int32_t latencyTicks = 5;
-  /// Cost of one VM instruction in ticks.
-  int32_t instrTicks = 1;
   /// Physical tolerance for the timing checks (continuity, deadline):
   /// the command segments and retries make the program drift a little
   /// relative to the ideal schedule, just as the real plant tolerates
   /// small deviations.
   int64_t slackTicks = 600;
-  int64_t maxTicks = 200'000'000;
 
   // -- Replanning support (see replan/controller.hpp) ------------------
 

@@ -83,7 +83,7 @@ ResumeOutcome resumeFrom(const rcx::PlantSnapshot& snap,
   ResumeOutcome out;
   out.repairCfg = cfg;
 
-  if (!opts.tryStrict || !tryStrict(snap, cfg, opts, &out)) {
+  if (!tryStrict(snap, cfg, opts, &out)) {
     if (!tryRelaxed(snap, cfg, opts, &out)) {
       out.feasible = false;
       out.ladderLevel = 2;  // safe stop

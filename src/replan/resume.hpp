@@ -37,8 +37,6 @@ struct ResumeOptions {
   size_t strictMaxStates = 400'000;
   /// Budget of the relaxed first-found search.
   size_t relaxedMaxStates = 800'000;
-  /// Skip level 0 entirely (bench ablation knob).
-  bool tryStrict = true;
 };
 
 struct ResumeOutcome {

@@ -43,13 +43,6 @@ struct ExprNode {
   int32_t c = 0;
 };
 
-/// Thrown (via the bool-return eval path it is *not* thrown — see
-/// `EvalError` handling in `eval`) on out-of-bounds array access or
-/// division by zero. Model construction bugs, not runtime conditions.
-struct EvalError {
-  std::string what;
-};
-
 class ExprPool {
  public:
   [[nodiscard]] ExprRef constant(int32_t v) { return push({Op::kConst, v, 0, 0}); }
@@ -72,9 +65,9 @@ class ExprPool {
   }
 
   /// Evaluate `e` against a variable valuation. `e == kNoExpr` yields 1
-  /// (the always-true guard). Division by zero and out-of-bounds array
-  /// indices evaluate to 0 with `*ok = false` when `ok` is provided
-  /// (and assert in debug builds — they indicate a malformed model).
+  /// (the always-true guard). Division or modulo by zero and
+  /// out-of-bounds array indices evaluate to 0 with `*ok = false` when
+  /// `ok` is provided.
   [[nodiscard]] int64_t eval(ExprRef e, std::span<const int32_t> vars,
                              bool* ok = nullptr) const;
 

@@ -118,6 +118,10 @@ Ir Ir::lower(const System& sys, const OptPins& pins) {
 
 namespace {
 
+/// Fixpoint safety bound: the passes feed each other, but real models
+/// quiesce in two or three rounds.
+constexpr int kMaxRounds = 8;
+
 /// Variables with no surviving write hold their initial value forever —
 /// the substitution `mapExpr` applies to goal predicates. Dynamic-index
 /// writes taint the whole cell range, like the lint usage collector.
@@ -267,27 +271,22 @@ ExprRef OptimizedModel::mapExpr(const ExprPool& srcPool, ExprRef e) {
 }
 
 OptimizedModel optimizeModel(const System& sys, const OptPins& pins,
-                             const PassConfig& cfg) {
+                             int level) {
   OptimizedModel out;
-  const bool anyEnabled = cfg.constFold || cfg.removeDead ||
-                          cfg.simplifyGuards || cfg.deadStores ||
-                          cfg.unifyClocks;
-  if (!anyEnabled) return out;
+  if (level <= 0) return out;
 
   const auto t0 = std::chrono::steady_clock::now();
   Ir ir = Ir::lower(sys, pins);
   PassStats st;
-  for (int round = 0; round < cfg.maxIterations; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     ++st.iterations;
-    bool changed = false;
-    if (cfg.constFold) changed |= passConstFold(ir, st);
-    if (cfg.removeDead) {
-      changed |= passRemoveNeverEnabledEdges(ir, st);
-      changed |= passRemoveDeadLocations(ir, st);
+    bool changed = passConstFold(ir, st);
+    changed |= passRemoveNeverEnabledEdges(ir, st);
+    changed |= passRemoveDeadLocations(ir, st);
+    if (level >= 2) {
+      changed |= passDropDeadStores(ir, pins, st);
+      changed |= passUnifyClocks(ir, pins, st);
     }
-    if (cfg.simplifyGuards) changed |= passSimplifyGuards(ir, st);
-    if (cfg.deadStores) changed |= passDropDeadStores(ir, pins, st);
-    if (cfg.unifyClocks) changed |= passUnifyClocks(ir, pins, st);
     if (!changed) break;
   }
 

@@ -145,7 +145,7 @@ class OptimizedModel {
 
  private:
   friend OptimizedModel optimizeModel(const System& sys, const OptPins& pins,
-                                      const PassConfig& cfg);
+                                      int level);
 
   System sys_;
   PassStats stats_;
@@ -158,11 +158,13 @@ class OptimizedModel {
   std::vector<int32_t> varConstVal_;
 };
 
-/// Lower, run the pipeline to a fixpoint, emit. The returned model owns
+/// Lower, run the pipeline to a fixpoint, emit. `level` is
+/// engine::Options::optLevel: 0 runs nothing (the result is unchanged),
+/// 1 runs constant folding and dead-location/edge removal, 2 adds
+/// dead-store elision and clock unification. The returned model owns
 /// the optimized System by value; keep it alive as long as any engine
 /// references `system()`.
 [[nodiscard]] OptimizedModel optimizeModel(const System& sys,
-                                           const OptPins& pins,
-                                           const PassConfig& cfg);
+                                           const OptPins& pins, int level);
 
 }  // namespace ta

@@ -435,61 +435,7 @@ bool passRemoveDeadLocations(Ir& ir, PassStats& st) {
 }
 
 // ------------------------------------------------------------------------
-// Pass 3: DBM-exact guard simplification.
-// ------------------------------------------------------------------------
-
-bool passSimplifyGuards(Ir& ir, PassStats& st) {
-  const uint32_t dim = ir.dim();
-  bool changed = false;
-  for (IrProcess& p : ir.procs) {
-    for (IrEdge& e : p.edges) {
-      auto& cg = e.clockGuard;
-      if (cg.empty()) continue;
-      const auto& inv = p.locs[static_cast<size_t>(e.src)].invariant;
-      bool again = true;
-      while (again && !cg.empty()) {
-        again = false;
-        for (size_t k = 0; k < cg.size(); ++k) {
-          // Context: source invariant plus the other conjuncts. Engine
-          // states satisfy the source invariant before the guard is
-          // applied, so a conjunct the context implies never constrains
-          // anything.
-          dbm::Dbm z = dbm::Dbm::unconstrained(dim);
-          bool ok = true;
-          for (const ClockConstraint& cc : inv) {
-            if (!z.constrain(static_cast<uint32_t>(cc.i),
-                             static_cast<uint32_t>(cc.j), cc.bound)) {
-              ok = false;
-              break;
-            }
-          }
-          for (size_t m = 0; ok && m < cg.size(); ++m) {
-            if (m == k) continue;
-            if (!z.constrain(static_cast<uint32_t>(cg[m].i),
-                             static_cast<uint32_t>(cg[m].j), cg[m].bound)) {
-              ok = false;
-            }
-          }
-          // An empty context means the edge can never fire; leave that
-          // verdict to the shared viability analysis.
-          if (!ok) break;
-          if (z.at(static_cast<uint32_t>(cg[k].i),
-                   static_cast<uint32_t>(cg[k].j)) <= cg[k].bound) {
-            cg.erase(cg.begin() + static_cast<std::ptrdiff_t>(k));
-            ++st.simplifiedConstraints;
-            changed = true;
-            again = true;
-            break;
-          }
-        }
-      }
-    }
-  }
-  return changed;
-}
-
-// ------------------------------------------------------------------------
-// Pass 4: dead-store elimination.
+// Pass 3: dead-store elimination.
 // ------------------------------------------------------------------------
 
 namespace {
@@ -628,7 +574,7 @@ bool passDropDeadStores(Ir& ir, const OptPins& pins, PassStats& st) {
 }
 
 // ------------------------------------------------------------------------
-// Pass 5: clock-equality unification.
+// Pass 4: clock-equality unification.
 // ------------------------------------------------------------------------
 
 bool passUnifyClocks(Ir& ir, const OptPins& pins, PassStats& st) {

@@ -67,46 +67,21 @@ enum class EdgeViability : uint8_t {
 void collectExprReads(const ExprPool& pool, ExprRef e,
                       std::vector<uint8_t>& read);
 
-// -- Pass pipeline configuration and accounting --------------------------
-
-struct PassConfig {
-  bool constFold = true;      ///< constant folding + const-var propagation
-  bool removeDead = true;     ///< never-enabled edges + unreachable locations
-  bool simplifyGuards = true; ///< drop invariant-implied guard conjuncts
-  bool deadStores = false;    ///< drop assignments to never-read variables
-  bool unifyClocks = false;   ///< collapse always-equal clocks
-  int maxIterations = 8;      ///< fixpoint safety bound
-
-  /// Options.optLevel mapping: 0 = everything off (the caller skips the
-  /// optimizer entirely), 1 = folding + dead elimination + guard
-  /// simplification, 2 = all passes.
-  [[nodiscard]] static PassConfig forLevel(int level) {
-    PassConfig c;
-    if (level <= 0) {
-      c.constFold = c.removeDead = c.simplifyGuards = false;
-      return c;
-    }
-    if (level >= 2) {
-      c.deadStores = c.unifyClocks = true;
-    }
-    return c;
-  }
-};
+// -- Pass accounting ------------------------------------------------------
 
 /// Per-pass work counters, surfaced through engine::Stats.
 struct PassStats {
   size_t foldedExprs = 0;           ///< constant-folding rewrites applied
   size_t removedLocations = 0;      ///< unreachable locations eliminated
   size_t removedEdges = 0;          ///< never-enabled / dangling edges cut
-  size_t simplifiedConstraints = 0; ///< implied guard conjuncts dropped
   size_t elidedVars = 0;            ///< variables whose stores were elided
   size_t unifiedClocks = 0;         ///< clocks merged into a representative
   int iterations = 0;               ///< fixpoint rounds until quiescence
   double seconds = 0.0;             ///< wall time spent optimizing
 
   [[nodiscard]] bool any() const noexcept {
-    return foldedExprs + removedLocations + removedEdges +
-               simplifiedConstraints + elidedVars + unifiedClocks !=
+    return foldedExprs + removedLocations + removedEdges + elidedVars +
+               unifiedClocks !=
            0;
   }
 };
@@ -117,7 +92,6 @@ struct PassStats {
 bool passConstFold(Ir& ir, PassStats& st);
 bool passRemoveNeverEnabledEdges(Ir& ir, PassStats& st);
 bool passRemoveDeadLocations(Ir& ir, PassStats& st);
-bool passSimplifyGuards(Ir& ir, PassStats& st);
 bool passDropDeadStores(Ir& ir, const OptPins& pins, PassStats& st);
 bool passUnifyClocks(Ir& ir, const OptPins& pins, PassStats& st);
 

@@ -105,7 +105,7 @@ Options config(int kind) {
       o.threads = 2;
       o.optLevel = 0;
       break;
-    default:  // folding + dead-code + guard simplification only
+    default:  // folding + dead-code elimination only
       o.optLevel = 1;
       break;
   }

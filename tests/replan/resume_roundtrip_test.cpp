@@ -135,7 +135,8 @@ TEST(ResumeRoundTrip, SkipStrictGoesStraightToRelaxed) {
   const rcx::SimResult r = runClassified(sched, cfg, crashPlan(), seed);
   ASSERT_TRUE(r.snapshot.has_value());
   auto opts = quickResume();
-  opts.tryStrict = false;
+  // A one-state budget cuts the strict rung off before any schedule.
+  opts.strictMaxStates = 1;
   const synthesis::ResumeOutcome out =
       synthesis::resumeFrom(*r.snapshot, cfg, opts);
   ASSERT_TRUE(out.feasible);

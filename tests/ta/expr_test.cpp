@@ -93,7 +93,6 @@ TEST_F(ExprTest, ToStringReadable) {
   EXPECT_EQ(pool.toString(kNoExpr, names), "true");
 }
 
-#ifdef NDEBUG
 TEST_F(ExprTest, OutOfBoundsIndexReportsNotOk) {
   const ExprRef bad = pool.arrayCell(0, pool.constant(99), 5);
   bool ok = true;
@@ -107,7 +106,13 @@ TEST_F(ExprTest, DivisionByZeroReportsNotOk) {
   EXPECT_EQ(pool.eval(bad, vars, &ok), 0);
   EXPECT_FALSE(ok);
 }
-#endif
+
+TEST_F(ExprTest, ModuloByZeroReportsNotOk) {
+  const ExprRef bad = pool.binary(Op::kMod, pool.var(0), pool.var(3));
+  bool ok = true;
+  EXPECT_EQ(pool.eval(bad, vars, &ok), 0);
+  EXPECT_FALSE(ok);
+}
 
 }  // namespace
 }  // namespace ta

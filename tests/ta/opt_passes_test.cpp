@@ -3,8 +3,7 @@
 //
 //  - per-pass counters and structural effects on hand-built models
 //    (constant folding, never-enabled-edge and dead-location removal,
-//    invariant-implied guard simplification, dead-store elision, clock
-//    unification);
+//    dead-store elision, clock unification);
 //  - clock unification checked against a brute-force integer-point
 //    (digitized) explorer — exact for the closed, diagonal-free models
 //    used here, and entirely independent of the DBM machinery the
@@ -40,11 +39,6 @@ engine::Result runAtLevel(const System& sys, const engine::Goal& goal,
   o.optLevel = level;
   engine::Reachability checker(sys, o);
   return checker.run(goal);
-}
-
-OptimizedModel optimizeAtLevel(const System& sys, const OptPins& pins,
-                               int level) {
-  return optimizeModel(sys, pins, PassConfig::forLevel(level));
 }
 
 // -- Brute-force integer-point explorer ----------------------------------
@@ -146,7 +140,7 @@ TEST(OptPasses, FoldsConstantVariableGuards) {
   sys.edge(p, l0, l2).guard(sys.rd(k) > 5);  // constant false
   sys.finalize();
 
-  OptimizedModel m = optimizeAtLevel(sys, {}, 1);
+  OptimizedModel m = optimizeModel(sys, {}, 1);
   ASSERT_TRUE(m.changed());
   EXPECT_GE(m.stats().foldedExprs, 2u);     // both guards fold
   EXPECT_GE(m.stats().removedEdges, 1u);    // the false one goes
@@ -202,7 +196,7 @@ TEST(OptPasses, RemovesUnreachableLocationsButKeepsPinnedGoals) {
   sys.edge(p, island, l0);  // dangling out-edge must go too
   sys.finalize();
 
-  OptimizedModel m = optimizeAtLevel(sys, {}, 1);
+  OptimizedModel m = optimizeModel(sys, {}, 1);
   ASSERT_TRUE(m.changed());
   EXPECT_EQ(m.stats().removedLocations, 1u);
   EXPECT_EQ(m.stats().removedEdges, 1u);
@@ -212,7 +206,7 @@ TEST(OptPasses, RemovesUnreachableLocationsButKeepsPinnedGoals) {
   // "prove this cannot happen") and the verdict is a clean negative.
   OptPins pins;
   pins.locations = {{p, island}};
-  OptimizedModel mp = optimizeAtLevel(sys, pins, 1);
+  OptimizedModel mp = optimizeModel(sys, pins, 1);
   if (mp.changed()) {
     EXPECT_GE(mp.mapLoc(p, island), 0);
   }
@@ -249,57 +243,10 @@ TEST(OptPasses, SharedAnalysisMatchesLintClassification) {
   EXPECT_EQ(cls(3), EdgeViability::kConstFalseGuard);
 
   // The optimizer removes exactly the three non-viable edges.
-  OptimizedModel m = optimizeAtLevel(sys, {}, 1);
+  OptimizedModel m = optimizeModel(sys, {}, 1);
   ASSERT_TRUE(m.changed());
   EXPECT_EQ(m.stats().removedEdges, 3u);
   EXPECT_EQ(m.system().automaton(p).edges().size(), 1u);
-}
-
-// -- Guard simplification ------------------------------------------------
-
-TEST(OptPasses, DropsGuardConjunctsImpliedByInvariant) {
-  System sys;
-  const ClockId x = sys.addClock("x");
-  const ProcId p = sys.addAutomaton("P");
-  auto& a = sys.automaton(p);
-  const LocId l0 = a.addLocation("l0");
-  const LocId l1 = a.addLocation("l1");
-  a.addInvariant(l0, ccLe(x, 3));
-  // x <= 5 is implied by the invariant; x >= 1 is not.
-  sys.edge(p, l0, l1).when(ccLe(x, 5)).when(ccGe(x, 1));
-  sys.finalize();
-
-  OptimizedModel m = optimizeAtLevel(sys, {}, 1);
-  ASSERT_TRUE(m.changed());
-  EXPECT_EQ(m.stats().simplifiedConstraints, 1u);
-  const auto& oe = m.system().automaton(p).edges();
-  ASSERT_EQ(oe.size(), 1u);
-  ASSERT_EQ(oe[0].clockGuard.size(), 1u);
-  // The surviving conjunct is the lower bound x >= 1, i.e. 0 - x <= -1.
-  EXPECT_EQ(oe[0].clockGuard[0].i, 0);
-  EXPECT_EQ(dbm::boundValue(oe[0].clockGuard[0].bound), -1);
-
-  engine::Goal g;
-  g.locations = {{p, l1}};
-  EXPECT_EQ(runAtLevel(sys, g, 0).reachable, runAtLevel(sys, g, 2).reachable);
-}
-
-TEST(OptPasses, DropsDuplicateClockConjuncts) {
-  System sys;
-  const ClockId x = sys.addClock("x");
-  const ProcId p = sys.addAutomaton("P");
-  auto& a = sys.automaton(p);
-  const LocId l0 = a.addLocation("l0");
-  const LocId l1 = a.addLocation("l1");
-  sys.edge(p, l0, l1).when(ccGe(x, 2)).when(ccGe(x, 2)).when(ccGe(x, 1));
-  sys.finalize();
-
-  OptimizedModel m = optimizeAtLevel(sys, {}, 1);
-  ASSERT_TRUE(m.changed());
-  // The duplicate and the weaker x >= 1 are both implied by x >= 2.
-  EXPECT_EQ(m.stats().simplifiedConstraints, 2u);
-  const auto& oe = m.system().automaton(p).edges();
-  ASSERT_EQ(oe[0].clockGuard.size(), 1u);
 }
 
 // -- Dead stores ---------------------------------------------------------
@@ -318,7 +265,7 @@ TEST(OptPasses, ElidesStoresToNeverReadVariables) {
       .assign(w, sys.rd(v) + 2);
   sys.finalize();
 
-  OptimizedModel m = optimizeAtLevel(sys, {}, 2);
+  OptimizedModel m = optimizeModel(sys, {}, 2);
   ASSERT_TRUE(m.changed());
   EXPECT_EQ(m.stats().elidedVars, 1u);
   const auto& oe = m.system().automaton(p).edges();
@@ -328,7 +275,7 @@ TEST(OptPasses, ElidesStoresToNeverReadVariables) {
   // Pinning w (a goal predicate reads it) blocks the elision.
   OptPins pins;
   pins.vars = {w};
-  OptimizedModel mp = optimizeAtLevel(sys, pins, 2);
+  OptimizedModel mp = optimizeModel(sys, pins, 2);
   EXPECT_EQ(mp.stats().elidedVars, 0u);
 }
 
@@ -348,7 +295,7 @@ TEST(OptPasses, ElidesBoundedCounterButNotPartialStores) {
   sys.edge(p, l0, l1).assign(bad, sys.lit(1) / (sys.rd(v) - 1));
   sys.finalize();
 
-  OptimizedModel m = optimizeAtLevel(sys, {}, 2);
+  OptimizedModel m = optimizeModel(sys, {}, 2);
   ASSERT_TRUE(m.changed());
   EXPECT_EQ(m.stats().elidedVars, 1u);
 
@@ -407,7 +354,7 @@ TEST(OptPasses, UnifiesClocksPreservingDigitizedReachability) {
   sys.edge(p, l2, l3).when(ccGe(y, 6)).when(ccLe(x, 5));  // unsat: x == y
   sys.finalize();
 
-  OptimizedModel m = optimizeAtLevel(sys, {}, 2);
+  OptimizedModel m = optimizeModel(sys, {}, 2);
   ASSERT_TRUE(m.changed());
   EXPECT_EQ(m.stats().unifiedClocks, 1u);
   EXPECT_EQ(m.system().numClocks(), 1u);
@@ -435,7 +382,7 @@ TEST(OptPasses, DoesNotUnifyClocksResetApart) {
   sys.edge(p, l1, l0);
   sys.finalize();
 
-  OptimizedModel m = optimizeAtLevel(sys, {}, 2);
+  OptimizedModel m = optimizeModel(sys, {}, 2);
   EXPECT_EQ(m.stats().unifiedClocks, 0u);
 }
 
@@ -496,7 +443,7 @@ TEST(OptPasses, AlreadyOptimalModelIsUntouched) {
   sys.edge(p, l1, l0).when(ccLe(x, 2));
   sys.finalize();
 
-  OptimizedModel m = optimizeAtLevel(sys, {}, 2);
+  OptimizedModel m = optimizeModel(sys, {}, 2);
   EXPECT_FALSE(m.changed());
   EXPECT_FALSE(m.stats().any());
 }
@@ -511,8 +458,8 @@ TEST(OptPasses, PinsPassStatsOnAllGuidesPlant) {
     int32_t batches;
     size_t folded, removedLocations, removedEdges;
   };
-  for (const Expected& want : {Expected{3, 80, 69, 130},
-                               Expected{6, 140, 90, 178}}) {
+  for (const Expected& want : {Expected{3, 80, 68, 128},
+                               Expected{6, 140, 89, 176}}) {
     plant::PlantConfig cfg;
     cfg.order = plant::standardOrder(want.batches);
     cfg.guides = plant::GuideLevel::kAll;
@@ -525,7 +472,6 @@ TEST(OptPasses, PinsPassStatsOnAllGuidesPlant) {
     EXPECT_EQ(st.foldedExprs, want.folded);
     EXPECT_EQ(st.removedLocations, want.removedLocations);
     EXPECT_EQ(st.removedEdges, want.removedEdges);
-    EXPECT_EQ(st.simplifiedConstraints, 0u);
     EXPECT_EQ(st.elidedVars, 0u);
     EXPECT_EQ(st.unifiedClocks, 0u);
     EXPECT_EQ(st.iterations, 2);
@@ -600,7 +546,7 @@ TEST(OptPasses, OptimizedModelsSurvivePrintParseRoundTrip) {
     engine::RandomModel model(seed);
     OptPins pins;
     pins.locations = model.goal.locations;
-    OptimizedModel m = optimizeAtLevel(*model.sys, pins, 2);
+    OptimizedModel m = optimizeModel(*model.sys, pins, 2);
     if (!m.changed()) continue;
     ++changed;
     const std::string p1 = printModel(m.system(), {});
