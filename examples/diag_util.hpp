@@ -21,6 +21,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "ta/lint.hpp"
 #include "ta/parser.hpp"
@@ -96,14 +97,20 @@ inline ta::FrontendResult loadModelOrExit(const std::string& path,
   return r;
 }
 
-/// Lint a hand-built (builder-API) system: print any warnings to
-/// stderr, exit 3 under --Werror. Zero spans — the messages still name
-/// the offending construct.
+/// Lint a hand-built (builder-API) system against the queries the
+/// example runs on it (none given: the queries are unknown, so no
+/// L010): print any warnings to stderr, exit 3 under --Werror. Zero
+/// spans — the messages still name the offending construct.
 inline void lintHandBuilt(const ta::System& sys, const FrontendFlags& flags,
-                          const std::string& what) {
+                          const std::string& what,
+                          const std::vector<ta::ParsedQuery>& queries = {}) {
   if (!flags.lint) return;
   std::vector<ta::Diagnostic> diags;
-  ta::runLints(sys, &diags);
+  if (queries.empty()) {
+    ta::runLints(sys, &diags);
+  } else {
+    ta::runLints(sys, queries, ta::SourceMap{}, &diags);
+  }
   if (!diags.empty()) {
     std::cerr << ta::renderDiagnostics(diags, what);
     if (flags.werror) {

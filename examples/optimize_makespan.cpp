@@ -127,7 +127,13 @@ int main(int argc, char** argv) {
   cfg.order = plant::standardOrder(batches);
   cfg.makespanClock = true;
   const auto p = plant::buildPlant(cfg);
-  examples::lintHandBuilt(p->sys, frontend, "optimize_makespan");
+  // Lint against the query the optimizers run: the plant goal with a
+  // bound on the makespan clock (binary search probes `gtime <= B`;
+  // best-first minimizes it as the cost).
+  ta::ParsedQuery query{p->goal.locations, p->goal.predicate,
+                        p->goal.clockConstraints};
+  query.clockConstraints.push_back(ta::ccLe(p->makespan, 0));
+  examples::lintHandBuilt(p->sys, frontend, "optimize_makespan", {query});
   oo.heuristicTargets = heuristicTargets(*p);
 
   const synthesis::OptimizeResult res =

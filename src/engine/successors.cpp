@@ -267,7 +267,8 @@ void SuccessorGenerator::tryFire(const DiscreteState& d,
       if (as.index != ta::kNoExpr) {
         idx = sys_.pool().eval(as.index, next.d.vars);
         if (idx < 0 || idx >= as.arraySize) {
-          assert(false && "assignment index out of bounds");
+          // An out-of-range write disables the transition, as a failed
+          // guard evaluation does.
           reject();
           return;
         }

@@ -16,7 +16,10 @@
 //                       driving it blind.
 //
 // Budgets are expressed in explored states, not wall time, so a replay
-// with the same seed takes the same ladder path on any machine.
+// with the same seed takes the same ladder path on any machine. The
+// engine options add a default wall-time and memory budget as a
+// backstop, so no rung searches unbounded: a rung cut off without a
+// schedule hands over to the next one.
 #pragma once
 
 #include "engine/options.hpp"
@@ -31,7 +34,13 @@ namespace synthesis {
 struct ResumeOptions {
   /// Base engine configuration for both ladder levels (search order and
   /// dfsReverse of the bootstrap/relaxed runs are overridden below).
-  engine::Options engine;
+  /// Defaults to a 60 s and 512 MiB budget per search.
+  engine::Options engine = [] {
+    engine::Options o;
+    o.maxSeconds = 60.0;
+    o.maxMemoryBytes = size_t{512} << 20;
+    return o;
+  }();
   /// Explored-state budget of the strict best-first optimization
   /// (bootstrap + priced-zone run each get this budget).
   size_t strictMaxStates = 400'000;

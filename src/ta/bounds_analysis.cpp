@@ -7,22 +7,23 @@ namespace ta {
 
 namespace {
 
-/// Fold one constraint's constants into the dense L/U rows of the
-/// location it is observable at.  A constraint x_i - x_j ≺ c acts as an
-/// upper-type bound on x_i (constant c) and a lower-type bound on x_j
-/// (constant -c); either side is clamped at 0 — a negative constant
-/// constrains nothing a nonnegative clock can distinguish, but the
-/// clock was still compared, so the bound becomes 0 rather than
-/// staying at the "never observed" -1.
-void foldConstraint(const ClockConstraint& cc, std::vector<dbm::value_t>& lo,
-                    std::vector<dbm::value_t>& up) {
+/// Fold one constraint's constants into the L/U rows (indexed by the
+/// automaton's local clock slots) of the location it is observable at.
+/// A constraint x_i - x_j ≺ c acts as an upper-type bound on x_i
+/// (constant c) and a lower-type bound on x_j (constant -c); either
+/// side is clamped at 0 — a negative constant constrains nothing a
+/// nonnegative clock can distinguish, but the clock was still compared,
+/// so the bound becomes 0 rather than staying at the "never observed"
+/// -1.
+void foldConstraint(const ClockConstraint& cc, const LocalClocks& local,
+                    dbm::value_t* lo, dbm::value_t* up) {
   const dbm::value_t c = dbm::boundValue(cc.bound);
   if (cc.i != 0) {
-    auto& u = up[static_cast<size_t>(cc.i)];
+    auto& u = up[local.slot(cc.i)];
     u = std::max(u, std::max<dbm::value_t>(c, 0));
   }
   if (cc.j != 0) {
-    auto& l = lo[static_cast<size_t>(cc.j)];
+    auto& l = lo[local.slot(cc.j)];
     l = std::max(l, std::max<dbm::value_t>(-c, 0));
   }
 }
@@ -135,7 +136,6 @@ RemainingTimeTable analyzeMinRemainingTime(
 
 LUTable analyzeClockBounds(const System& sys) {
   assert(sys.finalized() && "System::finalize() must run before analysis");
-  const size_t dim = sys.dbmDimension();
 
   LUTable table;
   table.rows_.resize(sys.numAutomata());
@@ -143,13 +143,25 @@ LUTable analyzeClockBounds(const System& sys) {
   for (size_t pi = 0; pi < sys.numAutomata(); ++pi) {
     const Automaton& a = sys.automaton(static_cast<ProcId>(pi));
     const size_t nLocs = a.numLocations();
+    const std::vector<Edge>& edges = a.edges();
 
-    // Dense working arrays; -1 = no observable bound.
-    std::vector<std::vector<dbm::value_t>> lo(nLocs), up(nLocs);
+    // The automaton's own clocks: those its invariants, guards and
+    // resets name. No other clock can get a bound in its rows.
+    LocalClocks local;
     for (size_t li = 0; li < nLocs; ++li) {
-      lo[li].assign(dim, -1);
-      up[li].assign(dim, -1);
+      local.add(a.location(static_cast<LocId>(li)).invariant);
     }
+    for (const Edge& e : edges) {
+      local.add(e.clockGuard);
+      for (const ClockReset& r : e.resets) local.add(r.clock);
+    }
+    local.seal();
+    const size_t dim = local.dimension();
+
+    // Location-major working arrays over the local slots; -1 = no
+    // observable bound. resets[e * dim + x]: edge e resets slot x.
+    std::vector<dbm::value_t> lo(nLocs * dim, -1), up(nLocs * dim, -1);
+    std::vector<uint8_t> resets(edges.size() * dim, 0);
 
     // Local contributions: invariants and outgoing guards. A nonzero
     // reset x := v floors both bounds of x at v in the destination —
@@ -159,19 +171,22 @@ LUTable analyzeClockBounds(const System& sys) {
     for (size_t li = 0; li < nLocs; ++li) {
       for (const ClockConstraint& cc :
            a.location(static_cast<LocId>(li)).invariant) {
-        foldConstraint(cc, lo[li], up[li]);
+        foldConstraint(cc, local, &lo[li * dim], &up[li * dim]);
       }
     }
-    for (const Edge& e : a.edges()) {
+    for (size_t ei = 0; ei < edges.size(); ++ei) {
+      const Edge& e = edges[ei];
       const auto src = static_cast<size_t>(e.src);
       const auto dst = static_cast<size_t>(e.dst);
       for (const ClockConstraint& cc : e.clockGuard) {
-        foldConstraint(cc, lo[src], up[src]);
+        foldConstraint(cc, local, &lo[src * dim], &up[src * dim]);
       }
       for (const ClockReset& r : e.resets) {
+        const size_t x = local.slot(r.clock);
+        resets[ei * dim + x] = 1;
         if (r.value > 0) {
-          auto& l = lo[dst][static_cast<size_t>(r.clock)];
-          auto& u = up[dst][static_cast<size_t>(r.clock)];
+          auto& l = lo[dst * dim + x];
+          auto& u = up[dst * dim + x];
           l = std::max(l, r.value);
           u = std::max(u, r.value);
         }
@@ -185,35 +200,34 @@ LUTable analyzeClockBounds(const System& sys) {
     bool changed = true;
     while (changed) {
       changed = false;
-      for (const Edge& e : a.edges()) {
-        const auto src = static_cast<size_t>(e.src);
-        const auto dst = static_cast<size_t>(e.dst);
+      for (size_t ei = 0; ei < edges.size(); ++ei) {
+        const size_t src = static_cast<size_t>(edges[ei].src) * dim;
+        const size_t dst = static_cast<size_t>(edges[ei].dst) * dim;
         for (size_t x = 1; x < dim; ++x) {
-          const bool isReset = std::any_of(
-              e.resets.begin(), e.resets.end(), [&](const ClockReset& r) {
-                return static_cast<size_t>(r.clock) == x;
-              });
-          if (isReset) continue;
-          if (lo[dst][x] > lo[src][x]) {
-            lo[src][x] = lo[dst][x];
+          if (resets[ei * dim + x] != 0) continue;
+          if (lo[dst + x] > lo[src + x]) {
+            lo[src + x] = lo[dst + x];
             changed = true;
           }
-          if (up[dst][x] > up[src][x]) {
-            up[src][x] = up[dst][x];
+          if (up[dst + x] > up[src + x]) {
+            up[src + x] = up[dst + x];
             changed = true;
           }
         }
       }
     }
 
-    // Sparse rows: only clocks this automaton observes at the location.
+    // Sparse rows: only clocks this automaton observes at the location,
+    // in global clock order (the local slots are sorted by clock id).
     auto& rows = table.rows_[pi];
     rows.resize(nLocs);
     for (size_t li = 0; li < nLocs; ++li) {
       for (size_t x = 1; x < dim; ++x) {
-        if (lo[li][x] >= 0 || up[li][x] >= 0) {
-          rows[li].push_back(ClockLU{static_cast<ClockId>(x), lo[li][x],
-                                     up[li][x]});
+        const dbm::value_t l = lo[li * dim + x];
+        const dbm::value_t u = up[li * dim + x];
+        if (l >= 0 || u >= 0) {
+          rows[li].push_back(
+              ClockLU{local.clock(static_cast<uint32_t>(x)), l, u});
         }
       }
     }

@@ -75,8 +75,10 @@ class LUTable {
 };
 
 /// Run the backward fixpoint over every automaton of a finalized
-/// system. Pure function of the system structure; safe to call from
-/// multiple threads on the same (immutable) system.
+/// system, each on arrays over its own clocks only (those its
+/// invariants, guards and resets name), so the cost does not grow with
+/// the other automata's clocks. Pure function of the system structure;
+/// safe to call from multiple threads on the same (immutable) system.
 [[nodiscard]] LUTable analyzeClockBounds(const System& sys);
 
 // -- Minimum remaining processing time ------------------------------------

@@ -101,11 +101,6 @@ struct Ir {
   std::vector<uint8_t> elidedSeen;
 
   [[nodiscard]] static Ir lower(const System& sys, const OptPins& pins);
-
-  /// DBM dimension of the (un-renumbered) IR clock space.
-  [[nodiscard]] uint32_t dim() const noexcept {
-    return static_cast<uint32_t>(numClocks) + 1;
-  }
 };
 
 /// Result of optimizing a System for one run.

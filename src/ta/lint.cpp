@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "dbm/dbm.hpp"
+#include "dbm/bound.hpp"
 #include "ta/opt_passes.hpp"
 
 namespace ta {
@@ -224,7 +224,6 @@ class Linter {
     // Shared with passRemoveNeverEnabledEdges: the classification below
     // is the one the optimizer removes on, so detector and remover
     // cannot diverge.
-    const uint32_t dim = sys_.dbmDimension();
     for (size_t p = 0; p < sys_.numAutomata(); ++p) {
       const Automaton& a = sys_.automaton(static_cast<ProcId>(p));
       for (size_t ei = 0; ei < a.edges().size(); ++ei) {
@@ -234,7 +233,7 @@ class Linter {
                                   a.location(e.dst).name + "' in process '" +
                                   a.name() + "'";
         switch (classifyEdgeViability(sys_.pool(), e.guard, e.clockGuard,
-                                      a.location(e.src).invariant, dim)) {
+                                      a.location(e.src).invariant)) {
           case EdgeViability::kViable:
             break;
           case EdgeViability::kConstFalseGuard:

@@ -4,7 +4,10 @@
 // synchronization, clock resets, and integer assignments.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,6 +54,47 @@ struct ClockConstraint {
 struct ClockReset {
   ClockId clock = 0;
   dbm::value_t value = 0;
+};
+
+/// The model clocks one static check names, sorted by global id and
+/// numbered as slots 1..k of a (k + 1)-dimension DBM or array; slot 0
+/// is the reference clock. A check over these slots is exact: in the
+/// closure, a clock no constraint of the check names has only ∞ edges
+/// out of it, so it tightens nothing (DESIGN.md, "Zone representation:
+/// live clocks only").
+class LocalClocks {
+ public:
+  void add(ClockId c) {
+    if (c != 0) clocks_.push_back(c);
+  }
+  void add(std::span<const ClockConstraint> ccs) {
+    clocks_.reserve(clocks_.size() + 2 * ccs.size());
+    for (const ClockConstraint& cc : ccs) {
+      add(cc.i);
+      add(cc.j);
+    }
+  }
+  /// Sort and deduplicate; call after the last add(), before slot().
+  void seal() {
+    std::sort(clocks_.begin(), clocks_.end());
+    clocks_.erase(std::unique(clocks_.begin(), clocks_.end()), clocks_.end());
+  }
+
+  [[nodiscard]] uint32_t dimension() const noexcept {
+    return static_cast<uint32_t>(clocks_.size()) + 1;
+  }
+  /// Global clock of slot `s` (1 <= s < dimension()).
+  [[nodiscard]] ClockId clock(uint32_t s) const { return clocks_[s - 1]; }
+  /// Slot of the reference clock or of an added clock.
+  [[nodiscard]] uint32_t slot(ClockId c) const {
+    if (c == 0) return 0;
+    const auto it = std::lower_bound(clocks_.begin(), clocks_.end(), c);
+    assert(it != clocks_.end() && *it == c && "clock was not added");
+    return static_cast<uint32_t>(it - clocks_.begin()) + 1;
+  }
+
+ private:
+  std::vector<ClockId> clocks_;
 };
 
 /// Integer assignment `base[index] := rhs` (index == kNoExpr for

@@ -33,7 +33,7 @@ bool isConstExpr(const ExprPool& pool, ExprRef e) {
 EdgeViability classifyEdgeViability(
     const ExprPool& pool, ExprRef guard,
     std::span<const ClockConstraint> clockGuard,
-    std::span<const ClockConstraint> sourceInvariant, uint32_t dim) {
+    std::span<const ClockConstraint> sourceInvariant) {
   // Precedence mirrors the linter: constant-false integer guard first,
   // then the clock guard alone, then its conjunction with the source
   // invariant.
@@ -44,21 +44,24 @@ EdgeViability classifyEdgeViability(
   }
   if (clockGuard.empty()) return EdgeViability::kViable;
 
-  dbm::Dbm zone = dbm::Dbm::unconstrained(dim);
-  bool guardSat = true;
-  for (const ClockConstraint& cc : clockGuard) {
-    guardSat = zone.constrain(static_cast<uint32_t>(cc.i),
-                              static_cast<uint32_t>(cc.j), cc.bound) &&
-               guardSat;
+  // A DBM over only the clocks the guard and the invariant name.
+  LocalClocks local;
+  local.add(clockGuard);
+  local.add(sourceInvariant);
+  local.seal();
+  dbm::Dbm zone = dbm::Dbm::unconstrained(local.dimension());
+  const auto conjoin = [&](std::span<const ClockConstraint> ccs) {
+    bool sat = true;
+    for (const ClockConstraint& cc : ccs) {
+      sat = zone.constrain(local.slot(cc.i), local.slot(cc.j), cc.bound) &&
+            sat;
+    }
+    return sat;
+  };
+  if (!conjoin(clockGuard)) return EdgeViability::kClockGuardUnsat;
+  if (!conjoin(sourceInvariant)) {
+    return EdgeViability::kGuardContradictsInvariant;
   }
-  if (!guardSat) return EdgeViability::kClockGuardUnsat;
-  bool withInv = true;
-  for (const ClockConstraint& cc : sourceInvariant) {
-    withInv = zone.constrain(static_cast<uint32_t>(cc.i),
-                             static_cast<uint32_t>(cc.j), cc.bound) &&
-              withInv;
-  }
-  if (!withInv) return EdgeViability::kGuardContradictsInvariant;
   return EdgeViability::kViable;
 }
 
@@ -354,7 +357,7 @@ bool passRemoveNeverEnabledEdges(Ir& ir, PassStats& st) {
       const IrEdge& e = p.edges[ei];
       const EdgeViability v = classifyEdgeViability(
           ir.pool, e.guard, e.clockGuard,
-          p.locs[static_cast<size_t>(e.src)].invariant, ir.dim());
+          p.locs[static_cast<size_t>(e.src)].invariant);
       bool remove = v != EdgeViability::kViable;
       // A broadcast *receiver* participates iff its integer guard holds
       // — the engine never evaluates receiver clock guards when
@@ -493,11 +496,15 @@ bool passDropDeadStores(Ir& ir, const OptPins& pins, PassStats& st) {
     for (const IrEdge& e : p.edges) collectExprReads(ir.pool, e.guard, live);
   }
 
-  // Evaluation failures (division by zero, bad index) disable the
-  // whole transition; an assignment that can fail must stay.
+  // An assignment that can fail must stay. A write through an index
+  // that is not a constant in range disables the whole transition once
+  // the index leaves the array, so it is a guard in disguise even when
+  // nothing reads the array.
   const auto assignTotal = [&](const Assign& as) {
-    return exprTotal(ir.pool, as.rhs) &&
-           (as.index == kNoExpr || exprTotal(ir.pool, as.index));
+    if (!exprTotal(ir.pool, as.rhs)) return false;
+    if (as.index == kNoExpr) return true;
+    const ExprNode& idx = ir.pool.node(as.index);
+    return idx.op == Op::kConst && idx.a >= 0 && idx.a < as.arraySize;
   };
   const auto writesLiveCell = [&](const Assign& as) {
     if (as.index == kNoExpr) return live[static_cast<size_t>(as.base)] != 0;

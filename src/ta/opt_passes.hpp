@@ -10,6 +10,11 @@
 // performs corresponds to a diagnostic the linter would have printed
 // for the same (possibly already-pruned) input.
 //
+// Each edge check builds its DBM over the reference clock and the
+// clocks its guard and source invariant name — one or two of the 45-batch
+// guided plant's 138 — which is exact by the projection argument of
+// DESIGN.md "Zone representation: live clocks only".
+//
 // The pipeline itself runs over the mutable IR of ta/ir.hpp; see
 // DESIGN.md "Typed IR and the optimization pipeline" for the pass
 // ordering and the per-pass soundness arguments.
@@ -49,7 +54,7 @@ enum class EdgeViability : uint8_t {
 [[nodiscard]] EdgeViability classifyEdgeViability(
     const ExprPool& pool, ExprRef guard,
     std::span<const ClockConstraint> clockGuard,
-    std::span<const ClockConstraint> sourceInvariant, uint32_t dim);
+    std::span<const ClockConstraint> sourceInvariant);
 
 /// Locations reachable from `initial` over the given (src, dst) edge
 /// pairs — the L004 analysis.

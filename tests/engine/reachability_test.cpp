@@ -3,6 +3,7 @@
 
 #include "engine/reachability.hpp"
 #include "engine/trace.hpp"
+#include "ta/parser.hpp"
 #include "ta/system.hpp"
 
 namespace engine {
@@ -246,6 +247,40 @@ TEST(Reachability, InitialStateCanMatchGoal) {
   const Result res = checker.run(Goal{{{p, 0}}, ta::kNoExpr, {}});
   EXPECT_TRUE(res.reachable);
   EXPECT_EQ(res.trace.steps.size(), 1u);
+}
+
+/// Writing `a[i]` with `i` out of range disables the transition, in
+/// every build: the counter climbs to 2, but `s -> t` only fires at
+/// i = 0 or 1.
+TEST(Reachability, OutOfRangeArrayWriteDisablesTransition) {
+  const ta::FrontendResult m = ta::parseModelEx(R"(
+int a[2];
+int i;
+process P {
+  loc s;
+  loc t;
+  init s;
+  edge s -> s { guard i < 2; assign i = i + 1; }
+  edge s -> t { assign a[i] = 1; }
+}
+query reach P.t && i == 2;
+query reach P.t && i == 1;
+)");
+  ASSERT_TRUE(m.ok) << ta::renderDiagnostics(m.diagnostics);
+  ASSERT_EQ(m.queries.size(), 2u);
+  for (const int level : {0, 2}) {
+    Options o;
+    o.optLevel = level;
+    for (size_t q = 0; q < m.queries.size(); ++q) {
+      const ta::ParsedQuery& pq = m.queries[q];
+      Reachability checker(*m.system, o);
+      const Result res =
+          checker.run(Goal{pq.locations, pq.predicate, pq.clockConstraints});
+      EXPECT_EQ(res.reachable, q == 1) << "level " << level << " query " << q;
+      EXPECT_TRUE(res.reachable || res.exhausted)
+          << "level " << level << " query " << q;
+    }
+  }
 }
 
 }  // namespace

@@ -3,9 +3,17 @@
 // guard/invariant contributions, backward propagation across
 // non-resetting edges, severing at resets, nonzero-reset flooring,
 // loops, diagonal constraints and the refinement relation against the
-// global max-bounds.
+// global max-bounds; and the analysis over each automaton's own clocks
+// against the dense all-clocks version it replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "plant/plant.hpp"
 #include "ta/bounds_analysis.hpp"
 #include "ta/system.hpp"
 
@@ -227,6 +235,173 @@ TEST(BoundsAnalysis, BranchingTakesPointwiseMax) {
   // l0 must keep the larger constant: abstraction by the smaller one
   // could merge zones the x >= 6 branch still distinguishes.
   EXPECT_EQ(lu.lower(p, l0, x), 6);
+}
+
+// -- The dense all-clocks analysis, as an oracle ---------------------------
+
+using LURow = std::vector<std::tuple<ClockId, dbm::value_t, dbm::value_t>>;
+
+/// `analyzeClockBounds` as it ran before it kept each automaton's own
+/// clocks only: location x all-clocks arrays and a fixpoint over every
+/// clock. Returns rows[proc][loc] as (clock, L, U) triples.
+std::vector<std::vector<LURow>> denseClockBounds(const System& sys) {
+  const size_t dim = sys.dbmDimension();
+  const auto fold = [](const ClockConstraint& cc,
+                       std::vector<dbm::value_t>& lo,
+                       std::vector<dbm::value_t>& up) {
+    const dbm::value_t c = dbm::boundValue(cc.bound);
+    if (cc.i != 0) {
+      auto& u = up[static_cast<size_t>(cc.i)];
+      u = std::max(u, std::max<dbm::value_t>(c, 0));
+    }
+    if (cc.j != 0) {
+      auto& l = lo[static_cast<size_t>(cc.j)];
+      l = std::max(l, std::max<dbm::value_t>(-c, 0));
+    }
+  };
+  std::vector<std::vector<LURow>> out(sys.numAutomata());
+  for (size_t pi = 0; pi < sys.numAutomata(); ++pi) {
+    const Automaton& a = sys.automaton(static_cast<ProcId>(pi));
+    const size_t nLocs = a.numLocations();
+    std::vector<std::vector<dbm::value_t>> lo(
+        nLocs, std::vector<dbm::value_t>(dim, -1));
+    std::vector<std::vector<dbm::value_t>> up = lo;
+    for (size_t li = 0; li < nLocs; ++li) {
+      for (const ClockConstraint& cc :
+           a.location(static_cast<LocId>(li)).invariant) {
+        fold(cc, lo[li], up[li]);
+      }
+    }
+    for (const Edge& e : a.edges()) {
+      const auto src = static_cast<size_t>(e.src);
+      const auto dst = static_cast<size_t>(e.dst);
+      for (const ClockConstraint& cc : e.clockGuard) {
+        fold(cc, lo[src], up[src]);
+      }
+      for (const ClockReset& r : e.resets) {
+        if (r.value > 0) {
+          auto& l = lo[dst][static_cast<size_t>(r.clock)];
+          auto& u = up[dst][static_cast<size_t>(r.clock)];
+          l = std::max(l, r.value);
+          u = std::max(u, r.value);
+        }
+      }
+    }
+    bool changed = true;
+    while (changed) {
+      changed = false;
+      for (const Edge& e : a.edges()) {
+        const auto src = static_cast<size_t>(e.src);
+        const auto dst = static_cast<size_t>(e.dst);
+        for (size_t x = 1; x < dim; ++x) {
+          const bool isReset = std::any_of(
+              e.resets.begin(), e.resets.end(), [&](const ClockReset& r) {
+                return static_cast<size_t>(r.clock) == x;
+              });
+          if (isReset) continue;
+          if (lo[dst][x] > lo[src][x]) {
+            lo[src][x] = lo[dst][x];
+            changed = true;
+          }
+          if (up[dst][x] > up[src][x]) {
+            up[src][x] = up[dst][x];
+            changed = true;
+          }
+        }
+      }
+    }
+    out[pi].resize(nLocs);
+    for (size_t li = 0; li < nLocs; ++li) {
+      for (size_t x = 1; x < dim; ++x) {
+        if (lo[li][x] >= 0 || up[li][x] >= 0) {
+          out[pi][li].emplace_back(static_cast<ClockId>(x), lo[li][x],
+                                   up[li][x]);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// Every row of `analyzeClockBounds(sys)` equals the dense oracle's.
+void expectMatchesDense(const System& sys, const std::string& what) {
+  const LUTable lu = analyzeClockBounds(sys);
+  const std::vector<std::vector<LURow>> dense = denseClockBounds(sys);
+  ASSERT_EQ(lu.numAutomata(), dense.size()) << what;
+  for (size_t p = 0; p < dense.size(); ++p) {
+    for (size_t l = 0; l < dense[p].size(); ++l) {
+      LURow got;
+      for (const ClockLU& e :
+           lu.at(static_cast<ProcId>(p), static_cast<LocId>(l))) {
+        got.emplace_back(e.clock, e.lower, e.upper);
+      }
+      ASSERT_EQ(got, dense[p][l])
+          << what << ": process " << p << ", location " << l;
+    }
+  }
+}
+
+TEST(BoundsAnalysis, SparseMatchesDenseOracle) {
+  std::mt19937_64 rng(0x5eed1u);
+  const auto pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  for (int seed = 0; seed < 200; ++seed) {
+    System sys;
+    const int numClocks = pick(1, 70);
+    for (int c = 0; c < numClocks; ++c) {
+      sys.addClock("c" + std::to_string(c));
+    }
+    const int numProcs = pick(1, 4);
+    for (int pi = 0; pi < numProcs; ++pi) {
+      const ProcId p = sys.addAutomaton("P" + std::to_string(pi));
+      auto& a = sys.automaton(p);
+      // Each automaton compares a few clocks drawn from all of them, so
+      // its clock set is sparse and shares clocks with its neighbors.
+      std::vector<ClockId> own(static_cast<size_t>(pick(1, 4)));
+      for (ClockId& c : own) c = pick(1, numClocks);
+      const auto clock = [&] {
+        return own[static_cast<size_t>(
+            pick(0, static_cast<int>(own.size()) - 1))];
+      };
+      const auto constraint = [&]() -> ClockConstraint {
+        const dbm::value_t c = pick(-4, 12);
+        const dbm::raw_t b =
+            pick(0, 1) != 0 ? dbm::boundStrict(c) : dbm::boundWeak(c);
+        switch (pick(0, 2)) {
+          case 0: return {clock(), 0, b};
+          case 1: return {0, clock(), b};
+          default: {
+            const ClockId x = clock();
+            const ClockId y = clock();
+            return x == y ? ClockConstraint{x, 0, b}
+                          : ClockConstraint{x, y, b};
+          }
+        }
+      };
+      const int numLocs = pick(1, 6);
+      for (int l = 0; l < numLocs; ++l) {
+        const LocId loc = a.addLocation("l" + std::to_string(l));
+        for (int k = pick(0, 2); k > 0; --k) a.addInvariant(loc, constraint());
+      }
+      for (int e = pick(0, 10); e > 0; --e) {
+        auto eb = sys.edge(p, pick(0, numLocs - 1), pick(0, numLocs - 1));
+        for (int k = pick(0, 3); k > 0; --k) eb.when(constraint());
+        for (int k = pick(0, 2); k > 0; --k) {
+          eb.reset(clock(), pick(0, 1) != 0 ? 0 : pick(1, 9));
+        }
+      }
+    }
+    sys.finalize();
+    ASSERT_NO_FATAL_FAILURE(
+        expectMatchesDense(sys, "random system " + std::to_string(seed)));
+  }
+
+  plant::PlantConfig cfg;
+  cfg.order = plant::standardOrder(45);
+  cfg.guides = plant::GuideLevel::kAll;
+  const auto plant = plant::buildPlant(cfg);
+  expectMatchesDense(plant->sys, "45-batch all-guides plant");
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 //  - per-pass counters and structural effects on hand-built models
 //    (constant folding, never-enabled-edge and dead-location removal,
 //    dead-store elision, clock unification);
+//  - the edge check over the clocks an edge names against the
+//    full-width check it replaced, on random guards and invariants;
 //  - clock unification checked against a brute-force integer-point
 //    (digitized) explorer — exact for the closed, diagonal-free models
 //    used here, and entirely independent of the DBM machinery the
@@ -14,12 +16,16 @@
 //  - print -> parse round trips of optimized systems.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "../engine/random_model.hpp"
+#include "dbm/dbm.hpp"
 #include "engine/best_first.hpp"
 #include "engine/opt_bridge.hpp"
 #include "engine/reachability.hpp"
@@ -231,11 +237,10 @@ TEST(OptPasses, SharedAnalysisMatchesLintClassification) {
   sys.edge(p, l0, l1).guard(sys.lit(0));           // constant false
   sys.finalize();
 
-  const uint32_t dim = static_cast<uint32_t>(sys.numClocks()) + 1;
   const auto cls = [&](size_t e) {
     const Edge& ed = a.edges()[e];
     return classifyEdgeViability(sys.pool(), ed.guard, ed.clockGuard,
-                                 a.location(ed.src).invariant, dim);
+                                 a.location(ed.src).invariant);
   };
   EXPECT_EQ(cls(0), EdgeViability::kViable);
   EXPECT_EQ(cls(1), EdgeViability::kClockGuardUnsat);
@@ -247,6 +252,86 @@ TEST(OptPasses, SharedAnalysisMatchesLintClassification) {
   ASSERT_TRUE(m.changed());
   EXPECT_EQ(m.stats().removedEdges, 3u);
   EXPECT_EQ(m.system().automaton(p).edges().size(), 1u);
+}
+
+/// `classifyEdgeViability` as it ran before it kept only the clocks an
+/// edge names: one DBM over every clock of the model.
+EdgeViability classifyFullWidth(
+    const ExprPool& pool, ExprRef guard,
+    std::span<const ClockConstraint> clockGuard,
+    std::span<const ClockConstraint> sourceInvariant, uint32_t dim) {
+  if (guard != kNoExpr && isConstExpr(pool, guard)) {
+    bool ok = true;
+    const int64_t v = pool.eval(guard, {}, &ok);
+    if (ok && v == 0) return EdgeViability::kConstFalseGuard;
+  }
+  if (clockGuard.empty()) return EdgeViability::kViable;
+  dbm::Dbm zone = dbm::Dbm::unconstrained(dim);
+  bool guardSat = true;
+  for (const ClockConstraint& cc : clockGuard) {
+    guardSat = zone.constrain(static_cast<uint32_t>(cc.i),
+                              static_cast<uint32_t>(cc.j), cc.bound) &&
+               guardSat;
+  }
+  if (!guardSat) return EdgeViability::kClockGuardUnsat;
+  bool withInv = true;
+  for (const ClockConstraint& cc : sourceInvariant) {
+    withInv = zone.constrain(static_cast<uint32_t>(cc.i),
+                             static_cast<uint32_t>(cc.j), cc.bound) &&
+              withInv;
+  }
+  if (!withInv) return EdgeViability::kGuardContradictsInvariant;
+  return EdgeViability::kViable;
+}
+
+TEST(OptPasses, LocalClockViabilityMatchesFullWidth) {
+  constexpr int kClocks = 64;
+  ExprPool pool;
+  const ExprRef guards[] = {kNoExpr, pool.constant(1), pool.constant(0)};
+  std::mt19937_64 rng(0x10ca1u);
+  const auto pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  std::array<size_t, 4> seen{};
+  for (int trial = 0; trial < 20'000; ++trial) {
+    // One to four clocks drawn from many; the guard and the invariant
+    // name overlapping subsets of them.
+    std::vector<ClockId> named(static_cast<size_t>(pick(1, 4)));
+    for (ClockId& c : named) c = pick(1, kClocks);
+    const auto clock = [&] {
+      return named[static_cast<size_t>(
+          pick(0, static_cast<int>(named.size()) - 1))];
+    };
+    const auto constraints = [&] {
+      std::vector<ClockConstraint> list(static_cast<size_t>(pick(0, 4)));
+      for (ClockConstraint& cc : list) {
+        const dbm::value_t c = pick(-3, 9);
+        cc.bound = pick(0, 1) != 0 ? dbm::boundStrict(c) : dbm::boundWeak(c);
+        switch (pick(0, 2)) {
+          case 0: cc.i = clock(); break;   // x - 0 < c
+          case 1: cc.j = clock(); break;   // 0 - x < c
+          default:                         // x - y < c
+            cc.i = clock();
+            cc.j = clock();
+            if (cc.i == cc.j) cc.j = 0;
+            break;
+        }
+      }
+      return list;
+    };
+    // A constant-false integer guard one time in ten.
+    const ExprRef g =
+        guards[static_cast<size_t>(pick(0, 9) == 0 ? 2 : pick(0, 1))];
+    const std::vector<ClockConstraint> guard = constraints();
+    const std::vector<ClockConstraint> inv = constraints();
+    const EdgeViability got = classifyEdgeViability(pool, g, guard, inv);
+    ASSERT_EQ(got, classifyFullWidth(pool, g, guard, inv, kClocks + 1))
+        << "trial " << trial;
+    ++seen[static_cast<size_t>(got)];
+  }
+  for (size_t v = 0; v < seen.size(); ++v) {
+    EXPECT_GT(seen[v], 0u) << "EdgeViability " << v << " never occurred";
+  }
 }
 
 // -- Dead stores ---------------------------------------------------------
