@@ -85,7 +85,8 @@ done
 jobs=$(nproc 2>/dev/null || echo 2)
 
 echo "== stage 1: tier-1 (release build + full ctest) =="
-cmake -B build -S . >/dev/null
+# Warnings are errors: the build is warning-free, and stays so.
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
@@ -217,11 +218,13 @@ ctest --test-dir build-tsan --output-on-failure --no-tests=error \
 
 echo "== stage 6b: RCX execution-layer suites under ASan/UBSan =="
 # The VM (new ops, watchdog halt), the adversarial channel's split
-# streams, the plant physics, and whole simulated trials under
-# memory/UB checking. (FaultInjection's model-level hazard searches are
-# wall-clock-bounded and engine-bound, so they stay in stages 1-2.)
+# streams, the plant physics, whole simulated trials, and the event
+# loop against its per-tick reference under memory/UB checking.
+# (FaultInjection's model-level hazard searches are wall-clock-bounded
+# and engine-bound, so they stay in stages 1-2.)
 ctest --test-dir build-asan --output-on-failure --no-tests=error \
-  -R 'RcxVm|FaultChannel|FaultSim|PhysicsTest|Lifecycle' -j "$jobs"
+  -R 'RcxVm|FaultChannel|FaultSim|PhysicsTest|Lifecycle|SimEventLoop|PhysicsEvents|CrashDraws' \
+  -j "$jobs"
 
 echo "== stage 6c: parallel campaign runner under TSan =="
 # The campaign fans trials out over a std::thread pool; the smoke grid

@@ -71,12 +71,15 @@ SymbolicTrace backMapTrace(const ta::System& orig,
       const ta::Edge& e =
           orig.automaton(part.proc).edges()[static_cast<size_t>(part.edge)];
       for (const ta::Assign& as : e.assigns) {
-        const int64_t rhs = orig.pool().eval(as.rhs, cur.vars);
+        bool ok = true;
+        const int64_t rhs = orig.pool().eval(as.rhs, cur.vars, &ok);
         int64_t idx = 0;
         if (as.index != ta::kNoExpr) {
-          idx = orig.pool().eval(as.index, cur.vars);
-          if (idx < 0 || idx >= as.arraySize) continue;
+          idx = orig.pool().eval(as.index, cur.vars, &ok);
         }
+        // Skipped only under an unsound pass: the engine fired this
+        // transition on the optimized system, so it evaluates here too.
+        if (!ok || idx < 0 || idx >= as.arraySize) continue;
         cur.vars[static_cast<size_t>(as.base + idx)] =
             static_cast<int32_t>(rhs);
       }

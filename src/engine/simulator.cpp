@@ -1,6 +1,7 @@
 #include "engine/simulator.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 
 namespace engine {
@@ -8,6 +9,27 @@ namespace engine {
 namespace {
 
 constexpr int64_t kUnbounded = std::numeric_limits<int64_t>::max() / 4;
+
+/// Run the assignments of `parts` over `vars` in firing order (sender
+/// first, each observing the earlier ones). False when one fails to
+/// evaluate or writes out of range: that disables the transition, as
+/// in the engine.
+bool assignAll(const ta::System& sys, const std::vector<TransitionPart>& parts,
+               std::vector<int32_t>& vars) {
+  for (const TransitionPart& part : parts) {
+    const ta::Edge& e =
+        sys.automaton(part.proc).edges()[static_cast<size_t>(part.edge)];
+    for (const ta::Assign& as : e.assigns) {
+      bool ok = true;
+      const int64_t rhs = sys.pool().eval(as.rhs, vars, &ok);
+      int64_t idx = 0;
+      if (as.index != ta::kNoExpr) idx = sys.pool().eval(as.index, vars, &ok);
+      if (!ok || idx < 0 || idx >= as.arraySize) return false;
+      vars[static_cast<size_t>(as.base + idx)] = static_cast<int32_t>(rhs);
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -102,6 +124,8 @@ std::vector<EnabledTransition> Simulator::enabled() const {
   const auto push = [&](std::vector<TransitionPart> parts) {
     const auto w = window(parts);
     if (!w.has_value()) return;
+    std::vector<int32_t> vars = vars_;
+    if (!assignAll(sys_, parts, vars)) return;
     EnabledTransition et;
     et.via.parts = std::move(parts);
     et.label = gen_.label(et.via);
@@ -180,17 +204,12 @@ bool Simulator::delay(int64_t d) {
 }
 
 void Simulator::applyParts(const Transition& via) {
+  // enabled() listed `via` only if every assignment evaluates.
+  [[maybe_unused]] const bool ok = assignAll(sys_, via.parts, vars_);
+  assert(ok);
   for (const TransitionPart& part : via.parts) {
     const ta::Edge& e =
         sys_.automaton(part.proc).edges()[static_cast<size_t>(part.edge)];
-    for (const ta::Assign& as : e.assigns) {
-      const int64_t rhs = sys_.pool().eval(as.rhs, vars_);
-      int64_t idx = 0;
-      if (as.index != ta::kNoExpr) {
-        idx = sys_.pool().eval(as.index, vars_);
-      }
-      vars_[static_cast<size_t>(as.base + idx)] = static_cast<int32_t>(rhs);
-    }
     for (const ta::ClockReset& r : e.resets) {
       clocks_[static_cast<size_t>(r.clock)] = r.value;
     }

@@ -234,6 +234,7 @@ void SuccessorGenerator::tryFire(const DiscreteState& d,
   };
 
   // 1. Integer guards — all evaluated against the pre-state valuation.
+  // A guard that fails to evaluate is false.
   for (const TransitionPart& part : parts) {
     if (!sys_.pool().evalBool(edgeOf(part).guard, d.vars)) return;
   }
@@ -262,16 +263,17 @@ void SuccessorGenerator::tryFire(const DiscreteState& d,
   for (const TransitionPart& part : parts) {
     const ta::Edge& e = edgeOf(part);
     for (const ta::Assign& as : e.assigns) {
-      const int64_t rhs = sys_.pool().eval(as.rhs, next.d.vars);
+      bool ok = true;
+      const int64_t rhs = sys_.pool().eval(as.rhs, next.d.vars, &ok);
       int64_t idx = 0;
       if (as.index != ta::kNoExpr) {
-        idx = sys_.pool().eval(as.index, next.d.vars);
-        if (idx < 0 || idx >= as.arraySize) {
-          // An out-of-range write disables the transition, as a failed
-          // guard evaluation does.
-          reject();
-          return;
-        }
+        idx = sys_.pool().eval(as.index, next.d.vars, &ok);
+      }
+      if (!ok || idx < 0 || idx >= as.arraySize) {
+        // A failing evaluation or an out-of-range write disables the
+        // transition, as a failed guard evaluation does.
+        reject();
+        return;
       }
       next.d.vars[static_cast<size_t>(as.base + idx)] =
           static_cast<int32_t>(rhs);

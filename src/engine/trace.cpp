@@ -118,7 +118,8 @@ struct Replay {
     now += d;
     if (chosen != nullptr) *chosen = d;
 
-    // Integer guards against the pre-assignment valuation.
+    // Integer guards against the pre-assignment valuation (a guard that
+    // fails to evaluate is false).
     for (const TransitionPart& part : via.parts) {
       const ta::Edge& e =
           sys.automaton(part.proc).edges()[static_cast<size_t>(part.edge)];
@@ -132,14 +133,17 @@ struct Replay {
       const ta::Edge& e =
           sys.automaton(part.proc).edges()[static_cast<size_t>(part.edge)];
       for (const ta::Assign& as : e.assigns) {
-        const int64_t rhs = sys.pool().eval(as.rhs, vars);
+        bool ok = true;
+        const int64_t rhs = sys.pool().eval(as.rhs, vars, &ok);
         int64_t idx = 0;
-        if (as.index != ta::kNoExpr) {
-          idx = sys.pool().eval(as.index, vars);
-          if (idx < 0 || idx >= as.arraySize) {
-            return fail("assignment index out of bounds on edge '" + e.label +
-                        "'");
-          }
+        if (as.index != ta::kNoExpr) idx = sys.pool().eval(as.index, vars, &ok);
+        if (!ok) {
+          return fail("assignment of edge '" + e.label +
+                      "' fails to evaluate at t=" + std::to_string(now));
+        }
+        if (idx < 0 || idx >= as.arraySize) {
+          return fail("assignment index out of bounds on edge '" + e.label +
+                      "'");
         }
         vars[static_cast<size_t>(as.base + idx)] = static_cast<int32_t>(rhs);
       }

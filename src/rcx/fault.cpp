@@ -12,7 +12,11 @@ FaultChannel::FaultChannel(const FaultPlan& plan, uint64_t seed)
       reorderRng_(splitRng(seed, kReorder)),
       jitterRng_(splitRng(seed, kJitter)),
       crashRng_(splitRng(seed, kCrash)),
-      driftRng_(splitRng(seed, kDrift)) {}
+      driftRng_(splitRng(seed, kDrift)) {
+  if (plan_.crash.enabled()) {
+    maxCrashDraw_ = maxFlipDraw(plan_.crash.crashPerTick);
+  }
+}
 
 std::mt19937_64 FaultChannel::splitRng(uint64_t seed, uint32_t tag) {
   // seed_seq mixes all words, so (seed, tag) pairs give uncorrelated
@@ -25,6 +29,37 @@ std::mt19937_64 FaultChannel::splitRng(uint64_t seed, uint32_t tag) {
 bool FaultChannel::flip(std::mt19937_64& rng, double p) {
   if (p <= 0.0) return false;
   return std::uniform_real_distribution<double>(0.0, 1.0)(rng) < p;
+}
+
+namespace {
+
+/// An engine with mt19937_64's range that returns one fixed draw.
+struct FixedDraw {
+  using result_type = std::mt19937_64::result_type;
+  result_type x;
+  static constexpr result_type min() { return std::mt19937_64::min(); }
+  static constexpr result_type max() { return std::mt19937_64::max(); }
+  result_type operator()() const { return x; }
+};
+
+}  // namespace
+
+uint64_t FaultChannel::maxFlipDraw(double p) {
+  // flip() maps its one engine draw x to a double in [0, 1) by a
+  // monotone conversion, so flip is true exactly for the draws up to
+  // some threshold. Find it by bisection on flip's own arithmetic.
+  const auto flips = [p](uint64_t x) {
+    FixedDraw e{x};
+    return std::uniform_real_distribution<double>(0.0, 1.0)(e) < p;
+  };
+  uint64_t lo = FixedDraw::min();  // flips (p > 0)
+  uint64_t hi = FixedDraw::max();
+  if (flips(hi)) return hi;
+  while (hi - lo > 1) {  // flips(lo) && !flips(hi)
+    const uint64_t mid = lo + (hi - lo) / 2;
+    (flips(mid) ? lo : hi) = mid;
+  }
+  return lo;
 }
 
 std::vector<Delivery> FaultChannel::offer(bool towardCentral) {
@@ -98,23 +133,52 @@ double FaultChannel::driftFactor(const std::string& unit) {
 
 std::vector<std::string> FaultChannel::stepCrashes(
     int64_t tick, const std::vector<std::string>& units) {
+  if (!plan_.crash.enabled()) return {};
+  std::vector<int32_t> slots;
+  slots.reserve(units.size());
+  for (const std::string& u : units) slots.push_back(crashSlot(u));
+  std::vector<int32_t> crashedSlots;
+  stepCrashes(tick, slots, &crashedSlots);
   std::vector<std::string> crashed;
-  if (!plan_.crash.enabled()) return crashed;
-  for (const std::string& u : units) {
-    const auto it = downUntil_.find(u);
-    if (it != downUntil_.end() && tick < it->second) continue;  // still down
-    if (flip(crashRng_, plan_.crash.crashPerTick)) {
-      downUntil_[u] = tick + plan_.crash.downTicks;
-      ++crashes_;
-      crashed.push_back(u);
-    }
-  }
+  for (const int32_t s : crashedSlots) crashed.push_back(slotUnit(s));
   return crashed;
 }
 
+int32_t FaultChannel::crashSlot(const std::string& unit) {
+  const auto [it, fresh] =
+      slotOf_.try_emplace(unit, static_cast<int32_t>(slots_.size()));
+  if (fresh) slots_.push_back(CrashSlot{unit});
+  return it->second;
+}
+
+void FaultChannel::stepCrashes(int64_t tick, std::span<const int32_t> slots,
+                               std::vector<int32_t>* crashed) {
+  crashed->clear();
+  if (!plan_.crash.enabled()) return;
+  for (const int32_t s : slots) {
+    CrashSlot& slot = slots_[static_cast<size_t>(s)];
+    if (tick < slot.downUntil) continue;  // still down
+    // flip(crashRng_, crashPerTick), without the conversion to double.
+    if (crashRng_() <= maxCrashDraw_) {
+      slot.downUntil = tick + plan_.crash.downTicks;
+      ++crashes_;
+      crashed->push_back(s);
+    }
+  }
+}
+
 bool FaultChannel::isDown(const std::string& unit, int64_t tick) const {
-  const auto it = downUntil_.find(unit);
-  return it != downUntil_.end() && tick < it->second;
+  const auto it = slotOf_.find(unit);
+  return it != slotOf_.end() &&
+         tick < slots_[static_cast<size_t>(it->second)].downUntil;
+}
+
+std::map<std::string, int64_t> FaultChannel::downUntilMap() const {
+  std::map<std::string, int64_t> out;
+  for (const CrashSlot& s : slots_) {
+    if (s.downUntil != kNeverDown) out.emplace(s.unit, s.downUntil);
+  }
+  return out;
 }
 
 }  // namespace rcx

@@ -15,8 +15,10 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -105,10 +107,23 @@ class FaultChannel {
   /// the first call for a unit decides, later calls return the same).
   [[nodiscard]] double driftFactor(const std::string& unit);
 
-  /// Advance the per-unit crash processes by one tick. Returns the
+  /// Advance the per-unit crash processes by one tick: each unit of
+  /// `units` that is up draws one Bernoulli, in order. Returns the
   /// units that crashed at this tick (callers drop their state).
   std::vector<std::string> stepCrashes(int64_t tick,
                                        const std::vector<std::string>& units);
+
+  /// The crash slot of `unit`, made on first use. A caller that steps
+  /// the same units every tick resolves them once and passes the slots,
+  /// so the per-tick step looks up no names.
+  [[nodiscard]] int32_t crashSlot(const std::string& unit);
+  [[nodiscard]] const std::string& slotUnit(int32_t slot) const {
+    return slots_[static_cast<size_t>(slot)].unit;
+  }
+  /// stepCrashes over resolved slots: the same draws in the same
+  /// order. Sets `crashed` to the slots that crashed at this tick.
+  void stepCrashes(int64_t tick, std::span<const int32_t> slots,
+                   std::vector<int32_t>* crashed);
 
   /// True while `unit` is crashed (silent) at `tick`.
   [[nodiscard]] bool isDown(const std::string& unit,
@@ -127,16 +142,25 @@ class FaultChannel {
   }
   /// Preset crash downtime (absolute revival ticks) surviving a splice.
   void presetDownUntil(const std::map<std::string, int64_t>& down) {
-    for (const auto& [unit, until] : down) downUntil_[unit] = until;
+    for (const auto& [unit, until] : down) {
+      const int32_t slot = crashSlot(unit);
+      slots_[static_cast<size_t>(slot)].downUntil = until;
+    }
   }
   [[nodiscard]] const std::map<std::string, double>& driftMap()
       const noexcept {
     return drift_;
   }
-  [[nodiscard]] const std::map<std::string, int64_t>& downUntilMap()
-      const noexcept {
-    return downUntil_;
-  }
+  /// Every unit that crashed or was preset -> its (last) revival tick.
+  [[nodiscard]] std::map<std::string, int64_t> downUntilMap() const;
+
+  /// A Bernoulli(p) decision is `uniform_real_distribution<double>(0,
+  /// 1)(rng) < p` on one engine draw. This is the largest draw for which
+  /// it is true (p > 0), so `rng() <= maxFlipDraw(p)` is the same
+  /// decision on the same draw. The crash process makes one decision
+  /// per live unit per tick and compares draws against this instead of
+  /// converting each to a double.
+  [[nodiscard]] static uint64_t maxFlipDraw(double p);
 
   // -- Introspection (tests + campaign reporting) ----------------------
   [[nodiscard]] int64_t lossesCommand() const noexcept { return lossCmd_; }
@@ -169,10 +193,19 @@ class FaultChannel {
 
   std::mt19937_64 cmdLossRng_, ackLossRng_, burstRng_, dupRng_, reorderRng_,
       jitterRng_, crashRng_, driftRng_;
+  uint64_t maxCrashDraw_ = 0;  ///< maxFlipDraw(crash.crashPerTick)
+
+  /// One unit's crash process: down while tick < downUntil.
+  static constexpr int64_t kNeverDown = std::numeric_limits<int64_t>::min();
+  struct CrashSlot {
+    std::string unit;
+    int64_t downUntil = kNeverDown;
+  };
 
   bool burstBad_ = false;
   std::map<std::string, double> drift_;
-  std::map<std::string, int64_t> downUntil_;
+  std::vector<CrashSlot> slots_;
+  std::map<std::string, int32_t> slotOf_;
 
   int64_t lossCmd_ = 0, lossAck_ = 0, lossBurst_ = 0;
   int64_t dups_ = 0, reorders_ = 0, crashes_ = 0;

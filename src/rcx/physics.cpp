@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace rcx {
 
@@ -373,6 +374,37 @@ void PlantPhysics::step(int64_t tick) {
     fail(tick, "crane collision: cranes " + std::to_string(p0) + " and " +
                    std::to_string(p1) + " milli-positions");
   }
+}
+
+int64_t PlantPhysics::nextEventTick(int64_t now) const {
+  int64_t next = std::numeric_limits<int64_t>::max();
+  for (const Load& l : loads_) {
+    if (l.where == Load::Where::kTrackMoving) {
+      next = std::min(next, l.actionDone);
+    }
+  }
+  bool anyMoving = false;
+  for (const Crane& c : cranes_) {
+    if (c.moving) next = std::min(next, c.moveDone);
+    if (c.lifting || c.lowering) next = std::min(next, c.hoistDone);
+    anyMoving = anyMoving || c.moving;
+  }
+  if (casting_ >= 0 && !castComplete_) next = std::min(next, castDone_);
+  next = std::max(next, now + 1);
+  // Crane proximity is the one check step() makes at every tick. Until
+  // `next` no move starts or ends, so each crane's position is monotone
+  // and stays between its positions at `now` and at `next`: if those
+  // two ranges are kMilli - 10 apart, no tick in between can fail.
+  if (anyMoving && !collisionReported_ && next > now + 1) {
+    const int64_t a0 = cranePosAt(cranes_[0], now);
+    const int64_t b0 = cranePosAt(cranes_[0], next);
+    const int64_t a1 = cranePosAt(cranes_[1], now);
+    const int64_t b1 = cranePosAt(cranes_[1], next);
+    const int64_t gap = std::max(std::min(a1, b1) - std::max(a0, b0),
+                                 std::min(a0, b0) - std::max(a1, b1));
+    if (gap < kMilli - 10) return now + 1;
+  }
+  return next;
 }
 
 void PlantPhysics::finish(int64_t tick) {

@@ -1,5 +1,6 @@
 // The physical plant, simulated at fine-grained tick resolution — our
-// stand-in for the paper's LEGO MINDSTORMS plant (§6).
+// stand-in for the paper's LEGO MINDSTORMS plant (§6). Ticks are exact,
+// but callers only step the ticks nextEventTick() names.
 //
 // The physics executes unit commands ("Track1Right", "Pickup3",
 // "Start2", ...) with real durations, moves cranes continuously along
@@ -41,6 +42,12 @@ class PlantPhysics {
   /// Advance the plant by one tick (complete moves/lifts/casts, update
   /// crane positions, check for collisions).
   void step(int64_t tick);
+
+  /// The first tick after `now` at which step() can change anything: a
+  /// track move, crane move, hoist or cast completes, or the moving
+  /// cranes may come too close. step() is a no-op at every tick in
+  /// between. Call after step(now); INT64_MAX when nothing is pending.
+  [[nodiscard]] int64_t nextEventTick(int64_t now) const;
 
   /// End-of-program checks: every ladle out, caster empty, machines off.
   void finish(int64_t tick);

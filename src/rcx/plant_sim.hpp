@@ -105,7 +105,9 @@ struct SimResult {
 };
 
 /// Execute the program in the simulated plant. `ticksPerTimeUnit` must
-/// match the value used at synthesis time.
+/// match the value used at synthesis time. Results are exact per tick,
+/// but the loop only runs the ticks at which something can change
+/// (DESIGN.md, "Plant simulation loop").
 [[nodiscard]] SimResult runProgram(const synthesis::RcxProgram& program,
                                    const plant::PlantConfig& cfg,
                                    int32_t ticksPerTimeUnit = 100,

@@ -34,7 +34,6 @@ RemainingTimeTable analyzeMinRemainingTime(
     const System& sys, const std::vector<std::vector<LocId>>& targets) {
   assert(sys.finalized() && "System::finalize() must run before analysis");
   assert(targets.size() == sys.numAutomata());
-  const size_t dim = sys.dbmDimension();
   constexpr int64_t kInf = kUnreachableRemaining;
 
   RemainingTimeTable table;
@@ -55,19 +54,29 @@ RemainingTimeTable analyzeMinRemainingTime(
       continue;
     }
 
-    // fresh[l][x]: clock x is provably 0 whenever l is entered — every
-    // incoming edge resets it to 0, and reaching the initial location
-    // "from the start" (all clocks 0) counts as a resetting entry.
-    std::vector<std::vector<bool>> fresh(nLocs,
-                                         std::vector<bool>(dim, true));
-    for (const Edge& e : a.edges()) {
-      auto& f = fresh[static_cast<size_t>(e.dst)];
-      for (size_t x = 1; x < dim; ++x) {
+    // fresh[l * dim + x]: the clock in local slot x is provably 0
+    // whenever l is entered — every incoming edge resets it to 0, and
+    // reaching the initial location "from the start" (all clocks 0)
+    // counts as a resetting entry. Only the clocks of lower-bound
+    // guards get slots: no other clock's freshness is read.
+    const auto& edges = a.edges();
+    LocalClocks local;
+    for (const Edge& e : edges) {
+      for (const ClockConstraint& cc : e.clockGuard) {
+        if (cc.i == 0 && cc.j != 0) local.add(cc.j);
+      }
+    }
+    local.seal();
+    const size_t dim = local.dimension();
+    std::vector<uint8_t> fresh(nLocs * dim, 1);
+    for (const Edge& e : edges) {
+      uint8_t* f = &fresh[static_cast<size_t>(e.dst) * dim];
+      for (uint32_t x = 1; x < dim; ++x) {
         const bool zeroed = std::any_of(
             e.resets.begin(), e.resets.end(), [&](const ClockReset& r) {
-              return static_cast<size_t>(r.clock) == x && r.value == 0;
+              return r.clock == local.clock(x) && r.value == 0;
             });
-        if (!zeroed) f[x] = false;
+        if (!zeroed) f[x] = 0;
       }
     }
     // A location no edge enters and that is not initial is unreachable;
@@ -76,13 +85,12 @@ RemainingTimeTable analyzeMinRemainingTime(
 
     // wait[e]: time that must pass inside src(e) before edge e can
     // fire, from lower-bound guards x >= c / x > c on fresh clocks.
-    const auto& edges = a.edges();
     std::vector<int64_t> wait(edges.size(), 0);
     for (size_t ei = 0; ei < edges.size(); ++ei) {
-      const auto& f = fresh[static_cast<size_t>(edges[ei].src)];
+      const uint8_t* f = &fresh[static_cast<size_t>(edges[ei].src) * dim];
       for (const ClockConstraint& cc : edges[ei].clockGuard) {
         if (cc.i != 0 || cc.j == 0) continue;  // not a lower bound
-        if (!f[static_cast<size_t>(cc.j)]) continue;
+        if (f[local.slot(cc.j)] == 0) continue;
         const int64_t c = -dbm::boundValue(cc.bound);
         if (c > wait[ei]) wait[ei] = c;
       }

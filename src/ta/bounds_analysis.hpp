@@ -154,8 +154,10 @@ class RemainingTimeTable {
 
 /// Backward Bellman fixpoint over every automaton of a finalized
 /// system. `targets[p]` lists automaton p's goal locations (empty =
-/// this automaton does not constrain the goal). Pure function of the
-/// system structure.
+/// this automaton does not constrain the goal). Freshness is tracked
+/// only for the clocks of the automaton's lower-bound guards, so the
+/// cost does not grow with the other automata's clocks. Pure function
+/// of the system structure.
 [[nodiscard]] RemainingTimeTable analyzeMinRemainingTime(
     const System& sys, const std::vector<std::vector<LocId>>& targets);
 

@@ -71,9 +71,12 @@ class ExprPool {
   [[nodiscard]] int64_t eval(ExprRef e, std::span<const int32_t> vars,
                              bool* ok = nullptr) const;
 
-  /// Evaluate as a guard: nonzero result means enabled.
+  /// Evaluate as a guard: nonzero result means enabled. A failing
+  /// evaluation (see eval) is false: it disables what it guards.
   [[nodiscard]] bool evalBool(ExprRef e, std::span<const int32_t> vars) const {
-    return eval(e, vars) != 0;
+    bool ok = true;
+    const int64_t v = eval(e, vars, &ok);
+    return ok && v != 0;
   }
 
   [[nodiscard]] const ExprNode& node(ExprRef e) const {

@@ -283,5 +283,78 @@ query reach P.t && i == 1;
   }
 }
 
+/// A guard or an assignment that fails to evaluate (division by zero,
+/// an index out of range) disables its transition, at every opt level:
+/// `s -> u` and `s -> t` never fire while z is 0, and `s -> w` only
+/// fires while `a[i]` is in range (i = 0 or 1, not 2).
+TEST(Reachability, FailingEvaluationDisablesTransition) {
+  const ta::FrontendResult m = ta::parseModelEx(R"(
+int v;
+int z;
+int a[2];
+int i;
+process P {
+  loc s;
+  loc u;
+  loc t;
+  loc w;
+  init s;
+  edge s -> u { guard (1 / z) == 0; }
+  edge s -> t { assign v = 1 / z; }
+  edge s -> s { guard i < 3; assign i = i + 1; }
+  edge s -> w { guard a[i] == 0; }
+}
+query reach P.u;
+query reach P.t;
+query reach P.w && i == 2;
+query reach P.w && i == 1;
+)");
+  ASSERT_TRUE(m.ok) << ta::renderDiagnostics(m.diagnostics);
+  ASSERT_EQ(m.queries.size(), 4u);
+  for (const int level : {0, 2}) {
+    Options o;
+    o.optLevel = level;
+    for (size_t q = 0; q < m.queries.size(); ++q) {
+      const ta::ParsedQuery& pq = m.queries[q];
+      Reachability checker(*m.system, o);
+      const Result res =
+          checker.run(Goal{pq.locations, pq.predicate, pq.clockConstraints});
+      EXPECT_EQ(res.reachable, q == 3) << "level " << level << " query " << q;
+      EXPECT_TRUE(res.reachable || res.exhausted)
+          << "level " << level << " query " << q;
+    }
+  }
+
+  // The validator replays the same way: hand-built traces that fire
+  // `s -> u` or `s -> t` are rejected.
+  const ta::System& sys = *m.system;
+  const ta::Automaton& a = sys.automaton(0);
+  const ta::LocId s = a.findLocation("s");
+  for (const auto& [dst, why] :
+       {std::pair<const char*, const char*>{"u", "integer guard"},
+        {"t", "fails to evaluate"}}) {
+    const ta::LocId to = a.findLocation(dst);
+    int32_t edge = -1;
+    for (size_t e = 0; e < a.edges().size(); ++e) {
+      if (a.edges()[e].src == s && a.edges()[e].dst == to) {
+        edge = static_cast<int32_t>(e);
+      }
+    }
+    ASSERT_GE(edge, 0) << dst;
+    ConcreteStep init;
+    init.d.locs = {s};
+    init.d.vars = sys.initialVars();
+    init.clocks.assign(sys.dbmDimension(), 0);
+    ConcreteStep fire = init;
+    fire.via.parts = {{0, edge}};
+    fire.d.locs = {to};
+    ConcreteTrace trace;
+    trace.steps = {init, fire};
+    std::string err;
+    EXPECT_FALSE(validate(sys, trace, &err)) << dst;
+    EXPECT_NE(err.find(why), std::string::npos) << err;
+  }
+}
+
 }  // namespace
 }  // namespace engine

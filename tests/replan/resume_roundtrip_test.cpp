@@ -89,7 +89,9 @@ TEST(ResumeRoundTrip, SnapshotLiftsBackToValidatedModel) {
   ASSERT_TRUE(out.feasible) << "a quiesced crash state must be repairable";
   EXPECT_LE(out.ladderLevel, 1);
   EXPECT_GE(out.stats.statesExplored, 1u);
-  if (out.ladderLevel == 0) EXPECT_GE(out.makespan, 0);
+  if (out.ladderLevel == 0) {
+    EXPECT_GE(out.makespan, 0);
+  }
 
   // Round trip: re-lift under the configuration the repair runs under
   // and check the model's initial state against the concrete one.

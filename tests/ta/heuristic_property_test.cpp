@@ -8,13 +8,17 @@
 //    entry() values, entry() dominates from(), targets sit at zero —
 //    the Bellman fixpoint inequalities h rests on.
 //  - Freshness: a guard only contributes wait time when every incoming
-//    edge resets the guarded clock; the conservative cases pin this.
+//    edge resets the guarded clock; the conservative cases pin this,
+//    and the tables match a dense all-clocks reference computation.
+#include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/reachability.hpp"
+#include "plant/plant.hpp"
 #include "ta/bounds_analysis.hpp"
 #include "ta/system.hpp"
 
@@ -207,6 +211,188 @@ TEST(HeuristicProperty, UnreachableLocationsReportTheSentinel) {
   EXPECT_EQ(rt.entry(p, trap), kUnreachableRemaining);
   const std::vector<LocId> dead{trap};
   EXPECT_EQ(rt.lowerBound(dead), kUnreachableRemaining);
+}
+
+/// Reference tables: analyzeMinRemainingTime as it was before it
+/// indexed freshness by the guard clocks only, with location x
+/// all-clocks freshness arrays and a scan of every clock per edge.
+struct DenseRemaining {
+  std::vector<std::vector<dbm::value_t>> entry, from;
+};
+
+DenseRemaining denseMinRemainingTime(
+    const System& sys, const std::vector<std::vector<LocId>>& targets) {
+  const size_t dim = sys.dbmDimension();
+  constexpr int64_t kInf = kUnreachableRemaining;
+  DenseRemaining table;
+  table.entry.resize(sys.numAutomata());
+  table.from.resize(sys.numAutomata());
+  for (size_t pi = 0; pi < sys.numAutomata(); ++pi) {
+    const Automaton& a = sys.automaton(static_cast<ProcId>(pi));
+    const size_t nLocs = a.numLocations();
+    auto& entry = table.entry[pi];
+    auto& from = table.from[pi];
+    if (targets[pi].empty()) {
+      entry.assign(nLocs, 0);
+      from.assign(nLocs, 0);
+      continue;
+    }
+    std::vector<std::vector<bool>> fresh(nLocs,
+                                         std::vector<bool>(dim, true));
+    for (const Edge& e : a.edges()) {
+      auto& f = fresh[static_cast<size_t>(e.dst)];
+      for (size_t x = 1; x < dim; ++x) {
+        const bool zeroed = std::any_of(
+            e.resets.begin(), e.resets.end(), [&](const ClockReset& r) {
+              return static_cast<size_t>(r.clock) == x && r.value == 0;
+            });
+        if (!zeroed) f[x] = false;
+      }
+    }
+    const auto& edges = a.edges();
+    std::vector<int64_t> wait(edges.size(), 0);
+    for (size_t ei = 0; ei < edges.size(); ++ei) {
+      const auto& f = fresh[static_cast<size_t>(edges[ei].src)];
+      for (const ClockConstraint& cc : edges[ei].clockGuard) {
+        if (cc.i != 0 || cc.j == 0) continue;
+        if (!f[static_cast<size_t>(cc.j)]) continue;
+        const int64_t c = -dbm::boundValue(cc.bound);
+        if (c > wait[ei]) wait[ei] = c;
+      }
+    }
+    std::vector<int64_t> d(nLocs, kInf);
+    for (LocId t : targets[pi]) d[static_cast<size_t>(t)] = 0;
+    bool changed = true;
+    while (changed) {
+      changed = false;
+      for (size_t ei = 0; ei < edges.size(); ++ei) {
+        const auto src = static_cast<size_t>(edges[ei].src);
+        if (d[src] == 0) continue;
+        const int64_t dd = d[static_cast<size_t>(edges[ei].dst)];
+        if (dd == kInf) continue;
+        const int64_t via = std::min(kInf, wait[ei] + dd);
+        if (via < d[src]) {
+          d[src] = via;
+          changed = true;
+        }
+      }
+    }
+    entry.assign(nLocs, 0);
+    from.assign(nLocs, 0);
+    for (size_t li = 0; li < nLocs; ++li) {
+      entry[li] = static_cast<dbm::value_t>(d[li]);
+      if (d[li] == 0) continue;
+      int64_t best = kInf;
+      for (int32_t ei : a.outgoing(static_cast<LocId>(li))) {
+        const int64_t dd =
+            d[static_cast<size_t>(edges[static_cast<size_t>(ei)].dst)];
+        if (dd < best) best = dd;
+      }
+      from[li] = static_cast<dbm::value_t>(best);
+    }
+  }
+  return table;
+}
+
+void expectMatchesDense(const System& sys,
+                        const std::vector<std::vector<LocId>>& targets,
+                        const std::string& what) {
+  const RemainingTimeTable rt = analyzeMinRemainingTime(sys, targets);
+  const DenseRemaining dense = denseMinRemainingTime(sys, targets);
+  for (size_t p = 0; p < sys.numAutomata(); ++p) {
+    const auto proc = static_cast<ProcId>(p);
+    for (size_t l = 0; l < dense.entry[p].size(); ++l) {
+      const auto loc = static_cast<LocId>(l);
+      ASSERT_EQ(rt.entry(proc, loc), dense.entry[p][l])
+          << what << ": entry, process " << p << ", location " << l;
+      ASSERT_EQ(rt.from(proc, loc), dense.from[p][l])
+          << what << ": from, process " << p << ", location " << l;
+    }
+  }
+}
+
+TEST(HeuristicProperty, SparseFreshnessMatchesDense) {
+  std::mt19937_64 rng(0x5eed2u);
+  const auto pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  for (int seed = 0; seed < 300; ++seed) {
+    System sys;
+    const int numClocks = pick(1, 40);
+    for (int c = 0; c < numClocks; ++c) {
+      sys.addClock("c" + std::to_string(c));
+    }
+    const int numProcs = pick(1, 4);
+    std::vector<std::vector<LocId>> targets(static_cast<size_t>(numProcs));
+    for (int pi = 0; pi < numProcs; ++pi) {
+      const ProcId p = sys.addAutomaton("P" + std::to_string(pi));
+      auto& a = sys.automaton(p);
+      // A few clocks per automaton, drawn from all of them: guards,
+      // diagonals and resets (to 0 and to other values) on shared and
+      // on own clocks.
+      std::vector<ClockId> own(static_cast<size_t>(pick(1, 4)));
+      for (ClockId& c : own) c = pick(1, numClocks);
+      const auto clock = [&] {
+        return own[static_cast<size_t>(
+            pick(0, static_cast<int>(own.size()) - 1))];
+      };
+      const auto guard = [&]() -> ClockConstraint {
+        const dbm::value_t c = pick(-3, 9);
+        const dbm::raw_t b =
+            pick(0, 1) != 0 ? dbm::boundStrict(c) : dbm::boundWeak(c);
+        switch (pick(0, 3)) {
+          case 0: return {clock(), 0, b};
+          case 1:
+          case 2: return {0, clock(), b};
+          default: {
+            const ClockId x = clock();
+            const ClockId y = clock();
+            return x == y ? ClockConstraint{0, x, b}
+                          : ClockConstraint{x, y, b};
+          }
+        }
+      };
+      const int numLocs = pick(1, 7);
+      for (int l = 0; l < numLocs; ++l) {
+        a.addLocation("l" + std::to_string(l));
+      }
+      for (int e = pick(0, 12); e > 0; --e) {
+        auto eb = sys.edge(p, pick(0, numLocs - 1), pick(0, numLocs - 1));
+        for (int k = pick(0, 3); k > 0; --k) eb.when(guard());
+        for (int k = pick(0, 2); k > 0; --k) {
+          eb.reset(clock(), pick(0, 2) != 0 ? 0 : pick(1, 9));
+        }
+      }
+      for (int l = 0; l < numLocs; ++l) {
+        if (pick(0, 3) == 0) targets[static_cast<size_t>(pi)].push_back(l);
+      }
+    }
+    sys.finalize();
+    ASSERT_NO_FATAL_FAILURE(
+        expectMatchesDense(sys, targets, "random system " + std::to_string(seed)));
+  }
+
+  // The 45-batch plant with optimize_makespan's targets: every automaton
+  // that has a "done"/"alldone" location.
+  plant::PlantConfig cfg;
+  cfg.order = plant::standardOrder(45);
+  cfg.guides = plant::GuideLevel::kAll;
+  const auto plant = plant::buildPlant(cfg);
+  std::vector<std::vector<LocId>> targets(plant->sys.numAutomata());
+  size_t withTargets = 0;
+  for (size_t i = 0; i < plant->sys.numAutomata(); ++i) {
+    const Automaton& a = plant->sys.automaton(static_cast<ProcId>(i));
+    for (const char* name : {"done", "alldone"}) {
+      const LocId l = a.findLocation(name);
+      if (l >= 0) {
+        targets[i].push_back(l);
+        ++withTargets;
+        break;
+      }
+    }
+  }
+  ASSERT_GT(withTargets, 45u);
+  expectMatchesDense(plant->sys, targets, "45-batch all-guides plant");
 }
 
 }  // namespace
