@@ -178,10 +178,11 @@ ctest --test-dir build-asan --output-on-failure --no-tests=error \
   -R 'BoundsAnalysis|OptPasses' \
   -j "$jobs"
 # Trace concretization (the O(n) per clock point completion and its
-# constrain-and-reclose oracle), the validator, and the DBM unit suite
-# (remap's projection) by name.
+# constrain-and-reclose oracle), the validator and the Simulator it
+# replays through (with the transition relation they share with the
+# engine), and the DBM unit suite (remap's projection) by name.
 ctest --test-dir build-asan --output-on-failure --no-tests=error \
-  -R 'Concretize|Validate|Dbm\.' -j "$jobs"
+  -R 'Concretize|Validate|Dbm\.|Simulator|TransitionRelation' -j "$jobs"
 # Zones over live clocks: every successor maps clocks between the
 # source's and the target's slots, and a wrong slot only fails under
 # memory checking. The golden counts and the memory cut-offs drive that

@@ -1,6 +1,6 @@
-// Structural dump of the generated plant automata — the counterpart of
-// the paper's Figures 3/4 (unguided vs guided batch automaton) and
-// Figures 7/8/9 (recipe, crane, batch automata).
+// The generated plant automata as `.gta` text — the counterpart of the
+// paper's Figures 3/4 (unguided vs guided batch automaton) and Figures
+// 7/8/9 (recipe, crane, batch automata).
 //
 // Usage: inspect_model [guides: all|some|none] [process-name-substring]
 //                       [--no-lint] [--Werror]
@@ -11,6 +11,7 @@
 
 #include "diag_util.hpp"
 #include "plant/plant.hpp"
+#include "ta/printer.hpp"
 
 int main(int argc, char** argv) {
   plant::GuideLevel guides = plant::GuideLevel::kAll;
@@ -37,22 +38,25 @@ int main(int argc, char** argv) {
   const auto p = plant::buildPlant(cfg);
   examples::lintHandBuilt(p->sys, frontend, "inspect_model");
 
-  std::cout << "=== " << plant::toString(guides) << " ===\n";
+  const ta::System& sys = p->sys;
+  std::cout << "=== " << plant::toString(guides) << ": " << sys.numAutomata()
+            << " automata, " << sys.numClocks() << " clocks, "
+            << sys.numVars() << " int variables, " << sys.numChannels()
+            << " channels ===\n";
+  const std::string text = ta::printModel(sys, {});
   if (filter.empty()) {
-    std::cout << p->sys.dump();
+    std::cout << text;
     return 0;
   }
-  // Print only processes whose name contains the filter.
-  std::istringstream dump(p->sys.dump());
+  // Print only the processes whose name contains the filter.
+  std::istringstream lines(text);
   std::string line;
-  bool printing = true;
-  while (std::getline(dump, line)) {
+  bool printing = false;
+  while (std::getline(lines, line)) {
     if (line.rfind("process ", 0) == 0) {
       printing = line.find(filter) != std::string::npos;
     }
-    if (printing || line.rfind("system:", 0) == 0) {
-      std::cout << line << "\n";
-    }
+    if (printing) std::cout << line << "\n";
   }
   return 0;
 }

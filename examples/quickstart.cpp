@@ -14,6 +14,7 @@
 #include "diag_util.hpp"
 #include "engine/reachability.hpp"
 #include "engine/trace.hpp"
+#include "ta/printer.hpp"
 #include "ta/system.hpp"
 
 int main(int argc, char** argv) {
@@ -59,7 +60,7 @@ int main(int argc, char** argv) {
 
   sys.finalize();
   examples::lintHandBuilt(sys, frontend, "quickstart");
-  std::cout << sys.dump() << "\n";
+  std::cout << ta::printModel(sys, {}) << "\n";
 
   // Reachability: can the listener receive with count == 1?
   engine::Goal goal;

@@ -132,23 +132,16 @@ BestFirstResult BestFirst::run(const Goal& goal) {
   const ta::RemainingTimeTable rt =
       ta::analyzeMinRemainingTime(sys_, targets_);
 
-  // Per-part transition labels for soft-guide matching (same rendering
-  // as SuccessorGenerator::label, split per participating edge).
+  // Per-edge transition labels for soft-guide matching.
   std::vector<std::vector<std::string>> partLabels;
   if (!opts_.softGuides.empty()) {
     partLabels.resize(sys_.numAutomata());
     for (size_t p = 0; p < sys_.numAutomata(); ++p) {
-      const ta::Automaton& a = sys_.automaton(static_cast<ta::ProcId>(p));
-      partLabels[p].reserve(a.edges().size());
-      for (const ta::Edge& e : a.edges()) {
-        if (e.label.empty()) {
-          partLabels[p].push_back(a.name() + "." + a.location(e.src).name +
-                                  "->" + a.location(e.dst).name);
-        } else if (e.label.find('.') != std::string::npos) {
-          partLabels[p].push_back(e.label);
-        } else {
-          partLabels[p].push_back(a.name() + "." + e.label);
-        }
+      const auto proc = static_cast<ta::ProcId>(p);
+      const size_t edges = sys_.automaton(proc).edges().size();
+      for (size_t e = 0; e < edges; ++e) {
+        partLabels[p].push_back(
+            label(sys_, Transition{{{proc, static_cast<int32_t>(e)}}}));
       }
     }
   }

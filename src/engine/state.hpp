@@ -59,6 +59,8 @@ struct DiscreteState {
 struct TransitionPart {
   ta::ProcId proc = -1;
   int32_t edge = -1;
+
+  [[nodiscard]] bool operator==(const TransitionPart&) const = default;
 };
 
 /// The discrete transition taken between two symbolic states.

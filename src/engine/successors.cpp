@@ -23,14 +23,6 @@ bool conjoinInvariants(const ta::System& sys, const ClockLayout& layout,
 
 namespace {
 
-bool anyCommitted(const ta::System& sys, const DiscreteState& d) {
-  for (size_t p = 0; p < d.locs.size(); ++p) {
-    if (sys.automaton(static_cast<ta::ProcId>(p)).location(d.locs[p]).committed)
-      return true;
-  }
-  return false;
-}
-
 /// Does some edge of the transition reset global clock `c`?
 [[maybe_unused]] bool resetsClock(const ta::System& sys,
                                   const std::vector<TransitionPart>& parts,
@@ -324,76 +316,21 @@ std::vector<Successor> SuccessorGenerator::successors(
   thread_local Scratch sc;
   layoutOf(d, sc.src);
   assert(zone.dimension() == sc.src.dimension());
-  const bool committedPhase = anyCommitted(sys_, d);
-  const auto locCommitted = [&](ta::ProcId p) {
-    return sys_.automaton(p).location(d.locs[static_cast<size_t>(p)])
-        .committed;
-  };
-
-  const auto numProcs = static_cast<ta::ProcId>(sys_.numAutomata());
-  for (ta::ProcId p = 0; p < numProcs; ++p) {
-    const ta::Automaton& a = sys_.automaton(p);
-    for (int32_t ei : a.outgoing(d.locs[static_cast<size_t>(p)])) {
-      const ta::Edge& e = a.edges()[static_cast<size_t>(ei)];
-      switch (e.sync) {
-        case ta::Sync::kNone: {
-          if (committedPhase && !locCommitted(p)) break;
-          tryFire(d, zone, {{p, ei}}, sc, out);
-          break;
-        }
-        case ta::Sync::kSend: {
-          if (sys_.channelKind(e.chan) == ta::ChanKind::kBinary) {
-            for (const auto& [q, ej] : sys_.receivers(e.chan)) {
-              if (q == p) continue;
-              const ta::Edge& r =
-                  sys_.automaton(q).edges()[static_cast<size_t>(ej)];
-              if (r.src != d.locs[static_cast<size_t>(q)]) continue;
-              if (committedPhase && !locCommitted(p) && !locCommitted(q))
-                continue;
-              tryFire(d, zone, {{p, ei}, {q, ej}}, sc, out);
-            }
-          } else {
-            // Broadcast: the sender fires unconditionally (given its own
-            // guards); every other process with an enabled receive edge
-            // joins (first enabled edge per process). Clock guards on
-            // broadcast receivers are not supported (as in UPPAAL).
-            std::vector<TransitionPart> parts{{p, ei}};
-            bool receiversCommitted = false;
-            for (ta::ProcId q = 0; q < numProcs; ++q) {
-              if (q == p) continue;
-              const ta::Automaton& b = sys_.automaton(q);
-              for (int32_t ej : b.outgoing(d.locs[static_cast<size_t>(q)])) {
-                const ta::Edge& r = b.edges()[static_cast<size_t>(ej)];
-                if (r.sync != ta::Sync::kReceive || r.chan != e.chan) continue;
-                assert(r.clockGuard.empty() &&
-                       "clock guards on broadcast receivers are unsupported");
-                if (!sys_.pool().evalBool(r.guard, d.vars)) continue;
-                parts.push_back({q, ej});
-                receiversCommitted = receiversCommitted || locCommitted(q);
-                break;
-              }
-            }
-            if (committedPhase && !locCommitted(p) && !receiversCommitted)
-              break;
-            tryFire(d, zone, parts, sc, out);
-          }
-          break;
-        }
-        case ta::Sync::kReceive:
-          break;  // handled from the sender's side
-      }
-    }
-  }
+  std::vector<TransitionPart> parts;
+  forEachTransition(sys_, d.locs, d.vars, parts,
+                    [&](const std::vector<TransitionPart>& t) {
+                      tryFire(d, zone, t, sc, out);
+                    });
   flush(sc.tally);
   return out;
 }
 
-std::string SuccessorGenerator::label(const Transition& t) const {
+std::string label(const ta::System& sys, const Transition& t) {
   if (t.parts.empty()) return "(initial)";
   std::string out;
   for (size_t k = 0; k < t.parts.size(); ++k) {
     const TransitionPart& part = t.parts[k];
-    const ta::Automaton& a = sys_.automaton(part.proc);
+    const ta::Automaton& a = sys.automaton(part.proc);
     const ta::Edge& e = a.edges()[static_cast<size_t>(part.edge)];
     if (k > 0) out += "/";
     if (e.label.empty()) {

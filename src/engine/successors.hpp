@@ -111,6 +111,101 @@ class ClockLayout {
   return false;
 }
 
+/// True if a location in `locs` is committed: then only transitions
+/// with a committed participant may fire.
+[[nodiscard]] inline bool anyCommitted(const ta::System& sys,
+                                       const std::vector<ta::LocId>& locs) {
+  for (size_t p = 0; p < locs.size(); ++p) {
+    if (sys.automaton(static_cast<ta::ProcId>(p)).location(locs[p]).committed)
+      return true;
+  }
+  return false;
+}
+
+/// The model's transition relation, one edge at a time: calls
+/// emit(parts) for each discrete transition that edge `ei` of process
+/// `p` leads at locations `locs` and variables `vars`. `ei` must leave
+/// locs[p]; `committed` is anyCommitted(sys, locs). The engine, the
+/// Simulator and validate all enumerate through here:
+///  - an internal edge fires alone;
+///  - a binary send pairs with each receive edge on its channel at
+///    another process's current location, in receiver order;
+///  - a broadcast send is joined, in every other process, by the first
+///    receive edge on its channel whose integer guard holds at `vars`
+///    (broadcast receivers carry no clock guards, as in UPPAAL);
+///  - while `committed`, only a transition with a participant in a
+///    committed location;
+///  - a receive edge leads nothing.
+/// `parts` lists the participating edges, leading edge first; it is
+/// the caller's scratch and holds each transition only during its emit
+/// call. Nothing else is checked here: guards, assignments and
+/// invariants are the caller's.
+template <class Emit>
+void forEachTransitionLedBy(const ta::System& sys,
+                            const std::vector<ta::LocId>& locs,
+                            const std::vector<int32_t>& vars, bool committed,
+                            ta::ProcId p, int32_t ei,
+                            std::vector<TransitionPart>& parts, Emit&& emit) {
+  const ta::Edge& e = sys.automaton(p).edges()[static_cast<size_t>(ei)];
+  assert(e.src == locs[static_cast<size_t>(p)]);
+  const auto isCommitted = [&](ta::ProcId q) {
+    return sys.automaton(q).location(locs[static_cast<size_t>(q)]).committed;
+  };
+  if (e.sync == ta::Sync::kReceive) return;  // led by its sender
+  parts.assign(1, {p, ei});
+  bool withCommitted = !committed || isCommitted(p);
+  if (e.sync == ta::Sync::kNone) {
+    if (withCommitted) emit(parts);
+    return;
+  }
+  if (sys.channelKind(e.chan) == ta::ChanKind::kBinary) {
+    for (const auto& [q, ej] : sys.receivers(e.chan)) {
+      if (q == p) continue;
+      const ta::Edge& r = sys.automaton(q).edges()[static_cast<size_t>(ej)];
+      if (r.src != locs[static_cast<size_t>(q)]) continue;
+      if (!withCommitted && !isCommitted(q)) continue;
+      parts.resize(1);
+      parts.push_back({q, ej});
+      emit(parts);
+    }
+    return;
+  }
+  // Broadcast. receivers() lists each process's edges together and in
+  // edge order, so the first match is the process's first enabled one.
+  for (const auto& [q, ej] : sys.receivers(e.chan)) {
+    if (q == p || parts.back().proc == q) continue;
+    const ta::Edge& r = sys.automaton(q).edges()[static_cast<size_t>(ej)];
+    if (r.src != locs[static_cast<size_t>(q)]) continue;
+    assert(r.clockGuard.empty() &&
+           "clock guards on broadcast receivers are unsupported");
+    if (!sys.pool().evalBool(r.guard, vars)) continue;
+    parts.push_back({q, ej});
+    withCommitted = withCommitted || isCommitted(q);
+  }
+  if (withCommitted) emit(parts);
+}
+
+/// Every discrete transition at (locs, vars): those of each process's
+/// outgoing edges, in process order, then edge order.
+template <class Emit>
+void forEachTransition(const ta::System& sys,
+                       const std::vector<ta::LocId>& locs,
+                       const std::vector<int32_t>& vars,
+                       std::vector<TransitionPart>& parts, Emit&& emit) {
+  const bool committed = anyCommitted(sys, locs);
+  for (size_t p = 0; p < locs.size(); ++p) {
+    const auto proc = static_cast<ta::ProcId>(p);
+    for (const int32_t ei : sys.automaton(proc).outgoing(locs[p])) {
+      forEachTransitionLedBy(sys, locs, vars, committed, proc, ei, parts,
+                             emit);
+    }
+  }
+}
+
+/// Human-readable label of a transition, e.g. "b2left!/b2left?" —
+/// joins the labels of the participating edges.
+[[nodiscard]] std::string label(const ta::System& sys, const Transition& t);
+
 class SuccessorGenerator {
  public:
   SuccessorGenerator(const ta::System& sys, const Options& opts);
@@ -146,10 +241,6 @@ class SuccessorGenerator {
   /// layout keeps. Bit-state hashing decides what to explore by hash
   /// values alone, so it hashes zones this way. Costs O(dim^2).
   [[nodiscard]] size_t fullWidthHash(const SymbolicState& s) const;
-
-  /// Human-readable label of a transition, e.g. "b2left!/b2left?" —
-  /// joins the labels of the participating edges.
-  [[nodiscard]] std::string label(const Transition& t) const;
 
   /// Register the clock constraints a reachability goal observes: the
   /// named clocks are kept live in every zone, in fixed leading slots,

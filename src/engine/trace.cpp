@@ -4,227 +4,10 @@
 #include <limits>
 #include <sstream>
 
+#include "engine/simulator.hpp"
 #include "engine/successors.hpp"
 
 namespace engine {
-
-namespace {
-
-constexpr int64_t kUnbounded = std::numeric_limits<int64_t>::max() / 4;
-
-struct Replay {
-  const ta::System& sys;
-  std::vector<ta::LocId> locs;
-  std::vector<int32_t> vars;
-  std::vector<int64_t> clocks;
-  int64_t now = 0;
-  std::string error;
-
-  explicit Replay(const ta::System& s)
-      : sys(s), vars(s.initialVars()), clocks(s.dbmDimension(), 0) {
-    for (uint32_t c = 1; c < s.dbmDimension(); ++c) {
-      clocks[c] = s.initialClock(static_cast<ta::ClockId>(c));
-    }
-    locs.reserve(s.numAutomata());
-    for (size_t p = 0; p < s.numAutomata(); ++p) {
-      locs.push_back(s.automaton(static_cast<ta::ProcId>(p)).initial());
-    }
-  }
-
-  [[nodiscard]] bool fail(std::string msg) {
-    error = std::move(msg);
-    return false;
-  }
-
-  /// Fold one constraint into the [lo, hi] delay window; returns false
-  /// if a delay-invariant (difference) constraint is already violated.
-  [[nodiscard]] bool foldConstraint(const ta::ClockConstraint& cc, int64_t& lo,
-                                    int64_t& hi) {
-    const int64_t val = dbm::boundValue(cc.bound);
-    const bool strict = dbm::isStrict(cc.bound);
-    if (cc.i != 0 && cc.j != 0) {
-      const int64_t diff = clocks[static_cast<size_t>(cc.i)] -
-                           clocks[static_cast<size_t>(cc.j)];
-      if (strict ? diff >= val : diff > val) {
-        return fail("difference constraint " + sys.ccToString(cc) +
-                    " violated at t=" + std::to_string(now));
-      }
-      return true;
-    }
-    if (cc.j == 0) {  // upper bound: x_i + d <= / < val
-      hi = std::min(hi, val - clocks[static_cast<size_t>(cc.i)] -
-                            (strict ? 1 : 0));
-    } else {  // lower bound encoded 0 - x_j <= val, i.e. x_j + d >= -val
-      lo = std::max(lo, -val - clocks[static_cast<size_t>(cc.j)] +
-                            (strict ? 1 : 0));
-    }
-    return true;
-  }
-
-  [[nodiscard]] bool delayWindowFromInvariants(int64_t& lo, int64_t& hi) {
-    for (size_t p = 0; p < locs.size(); ++p) {
-      const ta::Location& l =
-          sys.automaton(static_cast<ta::ProcId>(p)).location(locs[p]);
-      if (l.urgent || l.committed) hi = std::min<int64_t>(hi, 0);
-      for (const ta::ClockConstraint& cc : l.invariant) {
-        if (!foldConstraint(cc, lo, hi)) return false;
-      }
-    }
-    return true;
-  }
-
-  [[nodiscard]] bool checkInvariantsNow() {
-    for (size_t p = 0; p < locs.size(); ++p) {
-      const ta::Location& l =
-          sys.automaton(static_cast<ta::ProcId>(p)).location(locs[p]);
-      for (const ta::ClockConstraint& cc : l.invariant) {
-        if (cc.i != 0 && cc.j != 0) continue;  // checked in foldConstraint
-        const int64_t val = dbm::boundValue(cc.bound);
-        const bool strict = dbm::isStrict(cc.bound);
-        const int64_t lhs = cc.j == 0 ? clocks[static_cast<size_t>(cc.i)]
-                                      : -clocks[static_cast<size_t>(cc.j)];
-        if (strict ? lhs >= val : lhs > val) {
-          return fail("invariant " + sys.ccToString(cc) +
-                      " violated entering " + l.name + " at t=" +
-                      std::to_string(now));
-        }
-      }
-    }
-    return true;
-  }
-
-  /// Fire `via` after `delay` time units (delay < 0 means: choose the
-  /// minimal feasible delay and report it through *chosen).
-  [[nodiscard]] bool step(const Transition& via, int64_t delay,
-                          int64_t* chosen) {
-    int64_t lo = 0;
-    int64_t hi = kUnbounded;
-    if (!delayWindowFromInvariants(lo, hi)) return false;
-    for (const TransitionPart& part : via.parts) {
-      const ta::Edge& e =
-          sys.automaton(part.proc).edges()[static_cast<size_t>(part.edge)];
-      for (const ta::ClockConstraint& cc : e.clockGuard) {
-        if (!foldConstraint(cc, lo, hi)) return false;
-      }
-    }
-    const int64_t d = delay >= 0 ? delay : std::max<int64_t>(lo, 0);
-    if (d < lo || d > hi) {
-      return fail("no feasible delay at t=" + std::to_string(now) +
-                  " (window [" + std::to_string(lo) + ", " +
-                  (hi >= kUnbounded ? "inf" : std::to_string(hi)) +
-                  "], requested " + std::to_string(d) + ")");
-    }
-    for (size_t c = 1; c < clocks.size(); ++c) clocks[c] += d;
-    now += d;
-    if (chosen != nullptr) *chosen = d;
-
-    // Integer guards against the pre-assignment valuation (a guard that
-    // fails to evaluate is false).
-    for (const TransitionPart& part : via.parts) {
-      const ta::Edge& e =
-          sys.automaton(part.proc).edges()[static_cast<size_t>(part.edge)];
-      if (!sys.pool().evalBool(e.guard, vars)) {
-        return fail("integer guard of edge '" + e.label +
-                    "' false at t=" + std::to_string(now));
-      }
-    }
-    // Effects: assignments (sender first), clock resets, moves.
-    for (const TransitionPart& part : via.parts) {
-      const ta::Edge& e =
-          sys.automaton(part.proc).edges()[static_cast<size_t>(part.edge)];
-      for (const ta::Assign& as : e.assigns) {
-        bool ok = true;
-        const int64_t rhs = sys.pool().eval(as.rhs, vars, &ok);
-        int64_t idx = 0;
-        if (as.index != ta::kNoExpr) idx = sys.pool().eval(as.index, vars, &ok);
-        if (!ok) {
-          return fail("assignment of edge '" + e.label +
-                      "' fails to evaluate at t=" + std::to_string(now));
-        }
-        if (idx < 0 || idx >= as.arraySize) {
-          return fail("assignment index out of bounds on edge '" + e.label +
-                      "'");
-        }
-        vars[static_cast<size_t>(as.base + idx)] = static_cast<int32_t>(rhs);
-      }
-      for (const ta::ClockReset& r : e.resets) {
-        clocks[static_cast<size_t>(r.clock)] = r.value;
-      }
-      locs[static_cast<size_t>(part.proc)] = e.dst;
-    }
-    return checkInvariantsNow();
-  }
-
-  /// Broadcast receivers cannot decline: every process outside
-  /// `via.parts` must have no enabled receive edge on `chan` from its
-  /// current location.  (Evaluated against the pre-transition valuation,
-  /// like the engine does; broadcast receivers carry no clock guards.)
-  [[nodiscard]] bool checkBroadcastReceiversComplete(const Transition& via,
-                                                     ta::ChanId chan) {
-    for (size_t p = 0; p < locs.size(); ++p) {
-      const auto proc = static_cast<ta::ProcId>(p);
-      bool participating = false;
-      for (const TransitionPart& part : via.parts) {
-        if (part.proc == proc) {
-          participating = true;
-          break;
-        }
-      }
-      if (participating) continue;
-      const ta::Automaton& a = sys.automaton(proc);
-      for (int32_t ej : a.outgoing(locs[p])) {
-        const ta::Edge& r = a.edges()[static_cast<size_t>(ej)];
-        if (r.sync != ta::Sync::kReceive || r.chan != chan) continue;
-        if (sys.pool().evalBool(r.guard, vars)) {
-          return fail("broadcast omits enabled receiver '" + r.label + "'");
-        }
-      }
-    }
-    return true;
-  }
-
-  /// Check synchronization well-formedness of a transition.
-  [[nodiscard]] bool checkSyncShape(const Transition& via) {
-    if (via.parts.empty()) return fail("empty transition");
-    const ta::Edge& first =
-        sys.automaton(via.parts[0].proc)
-            .edges()[static_cast<size_t>(via.parts[0].edge)];
-    const bool broadcast =
-        first.sync == ta::Sync::kSend &&
-        sys.channelKind(first.chan) == ta::ChanKind::kBroadcast;
-    if (via.parts.size() == 1) {
-      // A broadcast send may fire alone — but only when no receiver
-      // was enabled.
-      if (broadcast) return checkBroadcastReceiversComplete(via, first.chan);
-      if (first.sync != ta::Sync::kNone) {
-        return fail("lone synchronizing edge '" + first.label + "'");
-      }
-      return true;
-    }
-    if (first.sync != ta::Sync::kSend) {
-      return fail("multi-part transition must lead with a send");
-    }
-    for (size_t k = 1; k < via.parts.size(); ++k) {
-      const ta::Edge& e = sys.automaton(via.parts[k].proc)
-                              .edges()[static_cast<size_t>(via.parts[k].edge)];
-      if (e.sync != ta::Sync::kReceive || e.chan != first.chan) {
-        return fail("mismatched synchronization on '" + e.label + "'");
-      }
-      if (via.parts[k].proc == via.parts[0].proc) {
-        return fail("process synchronizing with itself");
-      }
-    }
-    if (sys.channelKind(first.chan) == ta::ChanKind::kBinary &&
-        via.parts.size() != 2) {
-      return fail("binary channel with " + std::to_string(via.parts.size()) +
-                  " participants");
-    }
-    if (broadcast) return checkBroadcastReceiversComplete(via, first.chan);
-    return true;
-  }
-};
-
-}  // namespace
 
 namespace {
 
@@ -502,24 +285,22 @@ std::optional<ConcreteTrace> concretize(const ta::System& sys,
 
 bool validate(const ta::System& sys, const ConcreteTrace& trace,
               std::string* error) {
-  Replay rp(sys);
-  const auto setError = [&] {
-    if (error != nullptr) *error = rp.error;
+  const auto fail = [&](std::string msg) {
+    if (error != nullptr) *error = std::move(msg);
     return false;
   };
-  if (trace.steps.empty()) {
-    if (error != nullptr) *error = "empty trace";
-    return false;
-  }
+  if (trace.steps.empty()) return fail("empty trace");
+  Simulator sim(sys);
+  std::string why;
   for (size_t k = 1; k < trace.steps.size(); ++k) {
     const ConcreteStep& st = trace.steps[k];
-    if (!rp.checkSyncShape(st.via)) return setError();
-    if (!rp.step(st.via, st.delay, nullptr)) return setError();
-    if (rp.locs != st.d.locs || rp.vars != st.d.vars ||
-        rp.clocks != st.clocks || rp.now != st.timestamp) {
-      rp.error = "recorded state differs from replay at step " +
-                 std::to_string(k);
-      return setError();
+    if (!sim.fire(st.via, st.delay, &why)) {
+      return fail("step " + std::to_string(k) + ": " + why);
+    }
+    if (sim.locations() != st.d.locs || sim.variables() != st.d.vars ||
+        sim.clocks() != st.clocks || sim.time() != st.timestamp) {
+      return fail("recorded state differs from replay at step " +
+                  std::to_string(k));
     }
   }
   return true;
@@ -527,12 +308,10 @@ bool validate(const ta::System& sys, const ConcreteTrace& trace,
 
 std::string toString(const ta::System& sys, const ConcreteTrace& trace) {
   std::ostringstream os;
-  Options opts;  // only needed to construct a label helper
-  SuccessorGenerator gen(sys, opts);
   for (size_t k = 1; k < trace.steps.size(); ++k) {
     const ConcreteStep& st = trace.steps[k];
     if (st.delay > 0) os << "Delay(" << st.delay << ")\n";
-    os << "t=" << st.timestamp << "  " << gen.label(st.via) << "\n";
+    os << "t=" << st.timestamp << "  " << label(sys, st.via) << "\n";
   }
   return os.str();
 }

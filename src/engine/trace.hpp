@@ -58,10 +58,14 @@ struct ConcreteTrace {
     const ta::System& sys, const SymbolicTrace& trace,
     std::string* error = nullptr);
 
-/// Independently validate a concrete trace against the model: checks
-/// enabledness of every fired edge (integer + clock guards), invariant
-/// satisfaction across delays, and synchronization well-formedness.
-/// This is the "schedule is valid for the original model" check.
+/// Validate a concrete trace against the model by replaying it through
+/// the Simulator: every step must be a transition of the model (the
+/// engine's own enumeration) whose guards, assignments and invariants
+/// hold, by concrete integer arithmetic, after the recorded delay, and
+/// must reach the recorded locations, variables, clocks and time. This
+/// is the "schedule is valid for the original model" check; it shares
+/// nothing with the engine's zones, extrapolation, trace
+/// reconstruction or concretize.
 [[nodiscard]] bool validate(const ta::System& sys, const ConcreteTrace& trace,
                             std::string* error = nullptr);
 

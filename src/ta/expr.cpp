@@ -1,7 +1,6 @@
 #include "ta/expr.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace ta {
 
@@ -66,56 +65,6 @@ struct Evaluator {
   }
 };
 
-const char* opSymbol(Op op) {
-  switch (op) {
-    case Op::kAdd: return "+";
-    case Op::kSub: return "-";
-    case Op::kMul: return "*";
-    case Op::kDiv: return "/";
-    case Op::kMod: return "%";
-    case Op::kLt: return "<";
-    case Op::kLe: return "<=";
-    case Op::kEq: return "==";
-    case Op::kNe: return "!=";
-    case Op::kGe: return ">=";
-    case Op::kGt: return ">";
-    case Op::kAnd: return "&&";
-    case Op::kOr: return "||";
-    default: return "?";
-  }
-}
-
-struct Printer {
-  const std::vector<ExprNode>& nodes;
-  std::span<const std::string> names;
-
-  std::string run(ExprRef e) const {
-    if (e == kNoExpr) return "true";
-    const ExprNode& n = nodes[static_cast<size_t>(e)];
-    switch (n.op) {
-      case Op::kConst:
-        return std::to_string(n.a);
-      case Op::kVar: {
-        std::string base = static_cast<size_t>(n.a) < names.size()
-                               ? names[static_cast<size_t>(n.a)]
-                               : "v" + std::to_string(n.a);
-        if (n.b != kNoExpr) base += "[" + run(n.b) + "]";
-        return base;
-      }
-      case Op::kNeg: return "-(" + run(n.a) + ")";
-      case Op::kNot: return "!(" + run(n.a) + ")";
-      case Op::kIte:
-        return "(" + run(n.a) + " ? " + run(n.b) + " : " + run(n.c) + ")";
-      case Op::kMin:
-        return "min(" + run(n.a) + ", " + run(n.b) + ")";
-      case Op::kMax:
-        return "max(" + run(n.a) + ", " + run(n.b) + ")";
-      default:
-        return "(" + run(n.a) + " " + opSymbol(n.op) + " " + run(n.b) + ")";
-    }
-  }
-};
-
 }  // namespace
 
 int64_t ExprPool::eval(ExprRef e, std::span<const int32_t> vars,
@@ -124,11 +73,6 @@ int64_t ExprPool::eval(ExprRef e, std::span<const int32_t> vars,
   const int64_t result = ev.run(e);
   if (ok != nullptr) *ok = ev.ok;
   return result;
-}
-
-std::string ExprPool::toString(ExprRef e,
-                               std::span<const std::string> varNames) const {
-  return Printer{nodes_, varNames}.run(e);
 }
 
 }  // namespace ta

@@ -11,7 +11,6 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace ta {
@@ -85,10 +84,6 @@ class ExprPool {
   }
 
   [[nodiscard]] size_t size() const noexcept { return nodes_.size(); }
-
-  /// Render the expression with variable names supplied by the caller.
-  [[nodiscard]] std::string toString(
-      ExprRef e, std::span<const std::string> varNames) const;
 
  private:
   ExprRef push(ExprNode n) {

@@ -80,6 +80,7 @@ std::string printClockAtom(const System& sys, const ClockConstraint& cc) {
 }
 
 std::string printExpr(const System& sys, ExprRef e) {
+  if (e == kNoExpr) return "true";  // an absent guard
   return ExprPrinter(sys).print(e);
 }
 

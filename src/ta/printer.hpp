@@ -22,7 +22,8 @@ namespace ta {
 [[nodiscard]] std::string printClockAtom(const System& sys,
                                          const ClockConstraint& cc);
 
-/// Render an expression in re-parseable form (fully parenthesized).
+/// Render an expression in re-parseable form (fully parenthesized);
+/// kNoExpr, an absent guard, renders as `true`.
 [[nodiscard]] std::string printExpr(const System& sys, ExprRef e);
 
 /// Render the whole model as `.gta` source.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 
 namespace ta {
 
@@ -147,88 +146,6 @@ void System::finalize() {
   }
 
   finalized_ = true;
-}
-
-std::string System::ccToString(const ClockConstraint& cc) const {
-  const auto name = [&](ClockId c) -> std::string {
-    return c == 0 ? "0" : clockName(c);
-  };
-  std::ostringstream os;
-  if (cc.j == 0) {
-    os << name(cc.i) << (dbm::isStrict(cc.bound) ? "<" : "<=")
-       << dbm::boundValue(cc.bound);
-  } else if (cc.i == 0) {
-    os << name(cc.j) << (dbm::isStrict(cc.bound) ? ">" : ">=")
-       << -dbm::boundValue(cc.bound);
-  } else {
-    os << name(cc.i) << "-" << name(cc.j)
-       << (dbm::isStrict(cc.bound) ? "<" : "<=") << dbm::boundValue(cc.bound);
-  }
-  return os.str();
-}
-
-std::string System::dump() const {
-  std::ostringstream os;
-  os << "system: " << automata_.size() << " automata, " << numClocks()
-     << " clocks, " << numVars() << " int variables, " << numChannels()
-     << " channels\n";
-  for (const auto& ap : automata_) {
-    const Automaton& a = *ap;
-    os << "\nprocess " << a.name() << " (init "
-       << a.location(a.initial()).name << ")\n";
-    for (size_t li = 0; li < a.numLocations(); ++li) {
-      const Location& l = a.location(static_cast<LocId>(li));
-      os << "  loc " << l.name;
-      if (l.urgent) os << " [urgent]";
-      if (l.committed) os << " [committed]";
-      if (!l.invariant.empty()) {
-        os << " inv{";
-        for (size_t k = 0; k < l.invariant.size(); ++k) {
-          os << (k ? ", " : "") << ccToString(l.invariant[k]);
-        }
-        os << "}";
-      }
-      os << "\n";
-    }
-    for (const Edge& e : a.edges()) {
-      os << "  " << a.location(e.src).name << " -> " << a.location(e.dst).name;
-      if (!e.clockGuard.empty() || e.guard != kNoExpr) {
-        os << "  guard{";
-        bool first = true;
-        for (const ClockConstraint& cc : e.clockGuard) {
-          os << (first ? "" : ", ") << ccToString(cc);
-          first = false;
-        }
-        if (e.guard != kNoExpr) {
-          os << (first ? "" : ", ") << pool_.toString(e.guard, varNames_);
-        }
-        os << "}";
-      }
-      if (e.sync != Sync::kNone) {
-        os << "  " << channelName(e.chan)
-           << (e.sync == Sync::kSend ? "!" : "?");
-      }
-      if (!e.resets.empty() || !e.assigns.empty()) {
-        os << "  do{";
-        bool first = true;
-        for (const ClockReset& r : e.resets) {
-          os << (first ? "" : ", ") << clockName(r.clock) << ":=" << r.value;
-          first = false;
-        }
-        for (const Assign& as : e.assigns) {
-          os << (first ? "" : ", ");
-          os << varName(as.base);
-          if (as.index != kNoExpr)
-            os << "[" << pool_.toString(as.index, varNames_) << "]";
-          os << ":=" << pool_.toString(as.rhs, varNames_);
-          first = false;
-        }
-        os << "}";
-      }
-      os << "\n";
-    }
-  }
-  return os.str();
 }
 
 }  // namespace ta

@@ -281,13 +281,6 @@ class System {
 
   [[nodiscard]] bool finalized() const noexcept { return finalized_; }
 
-  /// Pretty-print the whole network (locations, invariants, edges) —
-  /// this is what examples/inspect_model shows for Figures 3/4/7/8/9.
-  [[nodiscard]] std::string dump() const;
-
-  /// Render a clock constraint like "x<=5" or "x-y<3".
-  [[nodiscard]] std::string ccToString(const ClockConstraint& cc) const;
-
  private:
   friend class EdgeBuilder;
 

@@ -180,6 +180,67 @@ TEST(Validate, RejectsEmptyTrace) {
   EXPECT_FALSE(validate(sys, ConcreteTrace{}, &err));
 }
 
+/// A hand-built trace from the initial state of `sys`, firing `via`
+/// with no delay and recording `locs` as where it leads.
+ConcreteTrace oneStep(const ta::System& sys, const Transition& via,
+                      std::vector<ta::LocId> locs) {
+  ConcreteStep init;
+  for (size_t p = 0; p < sys.numAutomata(); ++p) {
+    init.d.locs.push_back(sys.automaton(static_cast<ta::ProcId>(p)).initial());
+  }
+  init.d.vars = sys.initialVars();
+  init.clocks.assign(sys.dbmDimension(), 0);
+  ConcreteStep fire = init;
+  fire.via = via;
+  fire.d.locs = std::move(locs);
+  ConcreteTrace trace;
+  trace.steps = {init, fire};
+  return trace;
+}
+
+TEST(Validate, RejectsEdgeFromAnotherLocation) {
+  // P: a -> b -> c. Firing `b -> c` while P is in a would teleport it.
+  ta::System sys;
+  const ta::ProcId p = sys.addAutomaton("P");
+  auto& a = sys.automaton(p);
+  const ta::LocId la = a.addLocation("a");
+  const ta::LocId lb = a.addLocation("b");
+  const ta::LocId lc = a.addLocation("c");
+  sys.edge(p, la, lb);
+  sys.edge(p, lb, lc);
+  sys.finalize();
+  std::string err;
+  EXPECT_TRUE(validate(sys, oneStep(sys, Transition{{{p, 0}}}, {lb}), &err))
+      << err;
+  EXPECT_FALSE(validate(sys, oneStep(sys, Transition{{{p, 1}}}, {lc}), &err));
+}
+
+TEST(Validate, RejectsMoveAgainstCommittedPriority) {
+  // P starts in a committed location, so only P may move first; the
+  // engine finds no state where Q moved while P is still there.
+  ta::System sys;
+  const ta::ProcId p = sys.addAutomaton("P");
+  auto& pa = sys.automaton(p);
+  const ta::LocId c0 = pa.addLocation("c0", false, /*committed=*/true);
+  const ta::LocId c1 = pa.addLocation("c1");
+  sys.edge(p, c0, c1);
+  const ta::ProcId q = sys.addAutomaton("Q");
+  auto& qa = sys.automaton(q);
+  const ta::LocId q0 = qa.addLocation("q0");
+  const ta::LocId q1 = qa.addLocation("q1");
+  sys.edge(q, q0, q1);
+  sys.finalize();
+  Reachability checker(sys, Options{});
+  EXPECT_FALSE(
+      checker.run(Goal{{{p, c0}, {q, q1}}, ta::kNoExpr, {}}).reachable);
+  std::string err;
+  EXPECT_TRUE(
+      validate(sys, oneStep(sys, Transition{{{p, 0}}}, {c1, q0}), &err))
+      << err;
+  EXPECT_FALSE(
+      validate(sys, oneStep(sys, Transition{{{q, 0}}}, {c0, q1}), &err));
+}
+
 TEST(Concretize, SyncDelaysRespectBothParties) {
   // Sender ready at x >= 4, receiver must sync before y <= 6: the
   // joint transition is forced into [4, 6].

@@ -28,13 +28,12 @@ TEST_P(SimulatorReplay, ConcreteTraceStepsThroughSimulator) {
   const auto ct = engine::concretize(p->sys, res.trace, &err);
   ASSERT_TRUE(ct.has_value()) << err;
 
-  engine::SuccessorGenerator gen(p->sys, opts);
   engine::Simulator sim(p->sys);
   for (size_t k = 1; k < ct->steps.size(); ++k) {
     const engine::ConcreteStep& step = ct->steps[k];
     ASSERT_TRUE(sim.delay(step.delay))
         << "step " << k << ": simulator refused delay " << step.delay;
-    const std::string want = gen.label(step.via);
+    const std::string want = engine::label(p->sys, step.via);
     ASSERT_TRUE(sim.fireLabeled(want))
         << "step " << k << ": '" << want << "' not fireable; state "
         << sim.describe();

@@ -3,6 +3,7 @@
 
 #include "plant/plant.hpp"
 #include "ta/lint.hpp"
+#include "ta/printer.hpp"
 
 namespace plant {
 namespace {
@@ -81,7 +82,7 @@ TEST(PlantBuild, DumpMentionsKeyStructure) {
   PlantConfig cfg;
   cfg.order = {qualityAB()};
   const auto p = buildPlant(cfg);
-  const std::string d = p->sys.dump();
+  const std::string d = ta::printModel(p->sys, {});
   EXPECT_NE(d.find("process load1"), std::string::npos);
   EXPECT_NE(d.find("process recipe0"), std::string::npos);
   EXPECT_NE(d.find("process crane1"), std::string::npos);
@@ -94,7 +95,7 @@ TEST(PlantBuild, UngUidedDumpHasNoGuideVariables) {
   cfg.order = {qualityAB()};
   cfg.guides = GuideLevel::kNone;
   const auto p = buildPlant(cfg);
-  const std::string d = p->sys.dump();
+  const std::string d = ta::printModel(p->sys, {});
   EXPECT_EQ(d.find("next0"), std::string::npos);
   EXPECT_EQ(d.find("nextbatch"), std::string::npos);
   EXPECT_EQ(d.find("cranereq"), std::string::npos);

@@ -4,6 +4,7 @@
 // (the paper's guide-soundness property).
 #include <gtest/gtest.h>
 
+#include "engine/simulator.hpp"
 #include "engine/trace.hpp"
 #include "plant/plant.hpp"
 #include "synthesis/schedule.hpp"
@@ -111,7 +112,9 @@ class GuideSoundness : public ::testing::TestWithParam<int> {};
 TEST_P(GuideSoundness, GuidedScheduleReplaysInOriginalModel) {
   // "any schedule generated for a guided model is indeed also a valid
   // schedule of the original model" — checked by firing the guided
-  // trace's labelled transitions inside the unguided model.
+  // trace's labelled transitions inside the unguided model, first
+  // symbolically (the order of actions), then concretely (the timed
+  // schedule itself).
   PlantConfig cfg;
   cfg.order = standardOrder(GetParam());
   const auto guided = buildPlant(cfg);
@@ -125,14 +128,13 @@ TEST_P(GuideSoundness, GuidedScheduleReplaysInOriginalModel) {
   cfg.guides = GuideLevel::kNone;
   const auto plain = buildPlant(cfg);
   engine::Options opts;
-  engine::SuccessorGenerator gGuided(guided->sys, opts);
   engine::SuccessorGenerator gPlain(plain->sys, opts);
   engine::SymbolicState cur = gPlain.initial();
   for (size_t k = 1; k < ct->steps.size(); ++k) {
-    const std::string want = gGuided.label(ct->steps[k].via);
+    const std::string want = engine::label(guided->sys, ct->steps[k].via);
     bool found = false;
     for (engine::Successor& suc : gPlain.successors(cur)) {
-      if (gPlain.label(suc.via) == want) {
+      if (engine::label(plain->sys, suc.via) == want) {
         cur = std::move(suc.state);
         found = true;
         break;
@@ -141,6 +143,26 @@ TEST_P(GuideSoundness, GuidedScheduleReplaysInOriginalModel) {
     ASSERT_TRUE(found) << "guided action '" << want
                        << "' unavailable in the original model (step " << k
                        << ")";
+  }
+
+  // The timed schedule: each step's delay, then the transition with the
+  // guided step's label. The two models share automata, locations and
+  // clocks (the guides add only variables), so the unguided run must
+  // reach the same times, locations and clock values.
+  ASSERT_EQ(guided->sys.dbmDimension(), plain->sys.dbmDimension());
+  engine::Simulator sim(plain->sys);
+  for (size_t k = 1; k < ct->steps.size(); ++k) {
+    const engine::ConcreteStep& st = ct->steps[k];
+    ASSERT_TRUE(sim.delay(st.delay))
+        << "step " << k << ": delay " << st.delay << " refused; "
+        << sim.describe();
+    const std::string want = engine::label(guided->sys, st.via);
+    ASSERT_TRUE(sim.fireLabeled(want))
+        << "step " << k << ": '" << want << "' not fireable; "
+        << sim.describe();
+    ASSERT_EQ(sim.time(), st.timestamp) << "step " << k;
+    ASSERT_EQ(sim.locations(), st.d.locs) << "step " << k;
+    ASSERT_EQ(sim.clocks(), st.clocks) << "step " << k;
   }
 }
 

@@ -79,11 +79,10 @@ TEST(PlantSchedule, CastingContinuityShowsInTimestamps) {
   const auto ct = engine::concretize(p->sys, res.trace, &err);
   ASSERT_TRUE(ct.has_value()) << err;
 
-  engine::Options opts;
-  engine::SuccessorGenerator gen(p->sys, opts);
   std::vector<int64_t> castStarts;
   for (const engine::ConcreteStep& st : ct->steps) {
-    if (gen.label(st.via).find("Caster.Start") != std::string::npos) {
+    if (engine::label(p->sys, st.via).find("Caster.Start") !=
+        std::string::npos) {
       castStarts.push_back(st.timestamp);
     }
   }
@@ -124,15 +123,14 @@ TEST(PlantSchedule, GuidedScheduleIsValidInUnguidedModel) {
   // Replay by matching edge labels: walk the unguided model, firing at
   // each step a transition with the same label and delay.
   engine::Options opts;
-  engine::SuccessorGenerator gGuided(guided->sys, opts);
   engine::SuccessorGenerator gPlain(plain->sys, opts);
   engine::SymbolicState cur = gPlain.initial();
   size_t matched = 0;
   for (size_t k = 1; k < ct->steps.size(); ++k) {
-    const std::string want = gGuided.label(ct->steps[k].via);
+    const std::string want = engine::label(guided->sys, ct->steps[k].via);
     bool found = false;
     for (engine::Successor& suc : gPlain.successors(cur)) {
-      if (gPlain.label(suc.via) == want) {
+      if (engine::label(plain->sys, suc.via) == want) {
         cur = std::move(suc.state);
         found = true;
         ++matched;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ta/printer.hpp"
+
 namespace ta {
 namespace {
 
@@ -87,10 +89,12 @@ TEST_F(ExprTest, ShortCircuitProtectsDivision) {
 }
 
 TEST_F(ExprTest, ToStringReadable) {
-  const std::vector<std::string> names{"a", "b", "c", "d", "e"};
-  const Ex e = (var(0) + lit(2)) <= var(1);
-  EXPECT_EQ(pool.toString(e.ref(), names), "((a + 2) <= b)");
-  EXPECT_EQ(pool.toString(kNoExpr, names), "true");
+  System sys;
+  const VarId a = sys.addVar("a", 0);
+  const VarId b = sys.addVar("b", 0);
+  const Ex e = (sys.rd(a) + sys.lit(2)) <= sys.rd(b);
+  EXPECT_EQ(printExpr(sys, e.ref()), "((a + 2) <= b)");
+  EXPECT_EQ(printExpr(sys, kNoExpr), "true");
 }
 
 TEST_F(ExprTest, OutOfBoundsIndexReportsNotOk) {

@@ -2,6 +2,7 @@
 // active clocks, channel receiver index) and pretty-printing.
 #include <gtest/gtest.h>
 
+#include "ta/printer.hpp"
 #include "ta/system.hpp"
 
 namespace ta {
@@ -144,25 +145,25 @@ TEST(System, DumpShowsStructure) {
   a.setInvariant(l0, {ccLe(x, 9)});
   sys.edge(p, l0, l1).when(ccGe(x, 2)).send(c).reset(x).assign(v, 1);
   sys.finalize();
-  const std::string d = sys.dump();
+  const std::string d = printModel(sys, {});
   EXPECT_NE(d.find("process proc"), std::string::npos);
-  EXPECT_NE(d.find("inv{x<=9}"), std::string::npos);
-  EXPECT_NE(d.find("[committed]"), std::string::npos);
-  EXPECT_NE(d.find("x>=2"), std::string::npos);
-  EXPECT_NE(d.find("go!"), std::string::npos);
-  EXPECT_NE(d.find("x:=0"), std::string::npos);
-  EXPECT_NE(d.find("flag:=1"), std::string::npos);
+  EXPECT_NE(d.find("loc start { inv x <= 9; }"), std::string::npos);
+  EXPECT_NE(d.find("committed loc stop"), std::string::npos);
+  EXPECT_NE(d.find("guard x >= 2"), std::string::npos);
+  EXPECT_NE(d.find("sync go!"), std::string::npos);
+  EXPECT_NE(d.find("reset x;"), std::string::npos);
+  EXPECT_NE(d.find("assign flag = 1"), std::string::npos);
 }
 
-TEST(System, CcToStringForms) {
+TEST(System, PrintClockAtomForms) {
   System sys;
   const ClockId x = sys.addClock("x");
   const ClockId y = sys.addClock("y");
-  EXPECT_EQ(sys.ccToString(ccLe(x, 5)), "x<=5");
-  EXPECT_EQ(sys.ccToString(ccLt(x, 5)), "x<5");
-  EXPECT_EQ(sys.ccToString(ccGe(y, 2)), "y>=2");
-  EXPECT_EQ(sys.ccToString(ccGt(y, 2)), "y>2");
-  EXPECT_EQ(sys.ccToString(ccDiffLe(x, y, 3)), "x-y<=3");
+  EXPECT_EQ(printClockAtom(sys, ccLe(x, 5)), "x <= 5");
+  EXPECT_EQ(printClockAtom(sys, ccLt(x, 5)), "x < 5");
+  EXPECT_EQ(printClockAtom(sys, ccGe(y, 2)), "y >= 2");
+  EXPECT_EQ(printClockAtom(sys, ccGt(y, 2)), "y > 2");
+  EXPECT_EQ(printClockAtom(sys, ccDiffLe(x, y, 3)), "x - y <= 3");
 }
 
 TEST(System, FindLocationByName) {
